@@ -114,9 +114,12 @@ class FrameDecoder {
 
   /// Appends raw received bytes. Cheap; all parsing happens in Next().
   SLICK_REALTIME_ALLOW(
-      "bounded buffering: append is capped by the frame-size admission "
-      "check (max_frame_bytes), and steady-state appends reuse the "
-      "buffer capacity Next() compacts")
+      "amortized growth, not capped by max_frame_bytes: Feed appends every "
+      "byte it is given, and IngestServer::ReadAndPump feeds 64 KiB reads "
+      "until EAGAIN before Next() decodes any, so the buffer can grow to "
+      "the peer's whole socket backlog (the kernel receive buffer plus "
+      "whatever arrives during that read loop); steady-state appends "
+      "reuse the buffer capacity Next() compacts")
   void Feed(const char* data, std::size_t len) { buf_.append(data, len); }
 
   /// Tries to decode one frame into *out (overwriting it). Compacts the

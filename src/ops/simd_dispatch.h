@@ -5,7 +5,8 @@
 //
 // One binary carries every variant the compiler can emit for the target
 // architecture (scalar always; AVX2 + AVX-512F on x86-64; NEON on
-// aarch64), each behind a per-function target attribute so the rest of
+// aarch64), each an instantiation of one generic-vector kernel body
+// (ops/simd_vec.h) behind a per-function target attribute so the rest of
 // the translation unit stays baseline-ISA portable. The host's best level
 // is resolved once (__builtin_cpu_supports on x86; compile-time on
 // aarch64, where NEON is mandatory) and cached; after that a dispatch is
@@ -17,9 +18,9 @@
 // are clamped to what the host actually supports — requesting kAvx512 on
 // an AVX2-only machine yields kAvx2.
 //
-// -DSLICK_SIMD_FORCE_SCALAR (CMake: SLICK_SIMD_FORCE_SCALAR) compiles the
-// wide variants out entirely, which is the CI matrix leg that proves the
-// scalar fallback is complete on its own.
+// Building without SLICK_SIMD (CMake: -DSLICK_SIMD=OFF) leaves
+// SLICK_SIMD_X86/SLICK_SIMD_NEON undefined, so every dispatch takes the
+// scalar fallback — the CI matrix leg that proves it complete on its own.
 
 #include <atomic>
 #include <cstddef>
@@ -33,16 +34,15 @@
 #define SLICK_RESTRICT
 #endif
 
-#if defined(SLICK_SIMD) && !defined(SLICK_SIMD_FORCE_SCALAR) && \
-    defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(SLICK_SIMD) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
 #define SLICK_SIMD_X86 1
 #include <immintrin.h>
 #endif
 
-#if defined(SLICK_SIMD) && !defined(SLICK_SIMD_FORCE_SCALAR) && \
-    defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(SLICK_SIMD) && defined(__aarch64__) && \
+    (defined(__GNUC__) || defined(__clang__))
 #define SLICK_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace slick::ops::kernels {

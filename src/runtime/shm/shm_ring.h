@@ -915,6 +915,13 @@ class ShmRing {
       }
       const uint64_t pos0 = claim_pos_;
       const std::size_t n = claim_len_;
+      // relaxed: highwater is advisory telemetry; a stale head only
+      // over-reports occupancy for one sample. Loaded before the walk, as
+      // PublishPush does: until our first slot lands the consumer cannot
+      // pass pos0, so pos0 + n - head stays within [n, capacity]. Loaded
+      // after it, the consumer may already have released past pos0 + n
+      // (through another producer's later span) and the difference wraps.
+      const uint64_t head = ring_->ctl_->head.load(std::memory_order_relaxed);
       std::size_t landed = 0;
       // One fence check gates the whole walk: each slot's CAS arbitrates
       // exactly (a reaper that fenced mid-walk wins per slot regardless),
@@ -938,12 +945,7 @@ class ShmRing {
           ++landed;
         }
       }
-      if (landed > 0) {
-        // relaxed: highwater is advisory telemetry; a stale head only
-        // under-reports occupancy for one sample.
-        ring_->UpdateHighwater(
-            pos0 + n - ring_->ctl_->head.load(std::memory_order_relaxed));
-      }
+      if (landed > 0) ring_->UpdateHighwater(pos0 + n - head);
       if (!Fenced()) {
         // Still ours (the reaper bumps the epoch before ever freeing or
         // reusing the row, so not-fenced implies the row is still this

@@ -10,7 +10,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <iterator>
+#include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -405,6 +409,386 @@ TEST(ScanKernelsTest, SetSimdLevelClampsToDetected) {
   EXPECT_EQ(kernels::ActiveSimdLevel(), kernels::SimdLevel::kScalar);
   EXPECT_LE(static_cast<int>(prev), static_cast<int>(best));
   kernels::SetSimdLevel(best);
+}
+
+// ------------------------------------------------------------------
+// Golden digests. The differential checks above compare double sums only
+// within a rounding bound, which cannot see a changed lane count or
+// horizontal-reduction tree. These FNV-1a digests pin the exact output bits
+// of every kernel x element type at every x86 dispatch level, over
+// fixed-seed inputs, so any rewrite of the wide variants must reproduce the
+// scalar, AVX2 and AVX-512 answers bit for bit.
+// ------------------------------------------------------------------
+
+uint64_t Mix(uint64_t h, const void* p, std::size_t bytes) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h = (h ^ b[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+template <typename T>
+uint64_t Mix(uint64_t h, const std::vector<T>& v) {
+  return Mix(h, v.data(), v.size() * sizeof(T));
+}
+
+template <typename T>
+uint64_t MixValue(uint64_t h, T x) {
+  return Mix(h, &x, sizeof(x));
+}
+
+// Every length 0..130 (all remainders of every lane width around the
+// dispatch threshold) plus two long batches.
+std::vector<std::size_t> GoldenSizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 130; ++n) sizes.push_back(n);
+  sizes.push_back(1000);
+  sizes.push_back(4096);
+  return sizes;
+}
+
+std::vector<int64_t> GoldenInts(std::size_t n, uint64_t seed) {
+  util::SplitMix64 rng(seed);
+  std::vector<int64_t> v(n);
+  for (auto& x : v) {
+    x = static_cast<int64_t>(rng.NextBounded(uint64_t{1} << 40)) -
+        (int64_t{1} << 39);
+  }
+  return v;
+}
+
+// Magnitudes spread over 2^0..2^39, so any regrouping of a sum moves low
+// bits of the result.
+std::vector<double> GoldenDoubles(std::size_t n, uint64_t seed) {
+  util::SplitMix64 rng(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) {
+    const int e = static_cast<int>(rng.NextBounded(40));
+    x = std::ldexp(rng.NextDouble() - 0.5, e);
+  }
+  return v;
+}
+
+// Eight distinct values: ties everywhere, for the survivor masks.
+template <typename T>
+std::vector<T> GoldenDuplicates(std::size_t n, uint64_t seed) {
+  util::SplitMix64 rng(seed);
+  std::vector<T> v(n);
+  for (auto& x : v) {
+    x = static_cast<T>(static_cast<int>(rng.NextBounded(8)) - 4);
+  }
+  return v;
+}
+
+// Suffix and prefix scans with two carries each (the op identity and a
+// non-identity value), out of place and in place (out == v).
+template <typename T, typename Scan>
+uint64_t DigestScan(uint64_t h, const std::vector<T>& v, Scan scan,
+                    T identity, T carry) {
+  for (const T c : {identity, carry}) {
+    std::vector<T> out(v.size());
+    scan(v.data(), out.data(), v.size(), c);
+    h = Mix(h, out);
+    std::vector<T> buf = v;
+    scan(buf.data(), buf.data(), buf.size(), c);
+    h = Mix(h, buf);
+  }
+  return h;
+}
+
+template <typename T, typename Survivors>
+uint64_t DigestSurvivors(uint64_t h, const std::vector<T>& v,
+                         Survivors survivors) {
+  std::vector<uint64_t> mask(v.size() / 64 + 1, 0);
+  h = MixValue(h, survivors(v.data(), v.size(), mask.data()));
+  return Mix(h, mask);
+}
+
+using Digests = std::map<std::string, uint64_t>;
+
+// One digest per kernel x element type over every golden size, computed
+// through the public dispatchers at the currently active level.
+Digests ComputeGoldenDigests() {
+  constexpr uint64_t kBasis = 0xcbf29ce484222325ULL;
+  Digests d;
+  auto mix = [&](const std::string& key, auto&& f) {
+    auto [it, inserted] = d.try_emplace(key, kBasis);
+    it->second = f(it->second);
+  };
+  for (const std::size_t n : GoldenSizes()) {
+    const std::vector<int64_t> iv = GoldenInts(n, 1000 + n);
+    const std::vector<double> dv = GoldenDoubles(n, 2000 + n);
+    const std::vector<int64_t> idup = GoldenDuplicates<int64_t>(n, 3000 + n);
+    const std::vector<double> ddup = GoldenDuplicates<double>(n, 4000 + n);
+
+    mix("FoldAdd/int64_t", [&](uint64_t h) {
+      return MixValue(h, kernels::FoldAdd(iv.data(), n));
+    });
+    mix("FoldAdd/double", [&](uint64_t h) {
+      return MixValue(h, kernels::FoldAdd(dv.data(), n));
+    });
+    mix("FoldMax/int64_t", [&](uint64_t h) {
+      return MixValue(h, kernels::FoldMax(iv.data(), n));
+    });
+    mix("FoldMax/double", [&](uint64_t h) {
+      return MixValue(h, kernels::FoldMax(dv.data(), n));
+    });
+    mix("FoldMin/int64_t", [&](uint64_t h) {
+      return MixValue(h, kernels::FoldMin(iv.data(), n));
+    });
+    mix("FoldMin/double", [&](uint64_t h) {
+      return MixValue(h, kernels::FoldMin(dv.data(), n));
+    });
+
+    // The scan kernels are overloaded on element type; the lambdas pick one.
+#define SLICK_GOLDEN_SCAN(NAME, T, VALUES, IDENTITY, CARRY)                \
+  mix(#NAME "/" #T, [&](uint64_t h) {                                       \
+    return DigestScan<T>(                                                   \
+        h, VALUES,                                                          \
+        [](const T* v, T* out, std::size_t m, T c) {                        \
+          kernels::NAME(v, out, m, c);                                      \
+        },                                                                  \
+        IDENTITY, CARRY);                                                   \
+  });
+    SLICK_GOLDEN_SCAN(SuffixAdd, int64_t, iv, int64_t{0}, int64_t{1234567})
+    SLICK_GOLDEN_SCAN(SuffixAdd, double, dv, 0.0, 0.3125)
+    SLICK_GOLDEN_SCAN(SuffixMax, int64_t, iv, MaxInt::identity(), int64_t{42})
+    SLICK_GOLDEN_SCAN(SuffixMax, double, dv, Max::identity(), 42.5)
+    SLICK_GOLDEN_SCAN(SuffixMin, int64_t, iv, MinInt::identity(), int64_t{-42})
+    SLICK_GOLDEN_SCAN(SuffixMin, double, dv, Min::identity(), -42.5)
+    SLICK_GOLDEN_SCAN(PrefixAdd, int64_t, iv, int64_t{0}, int64_t{1234567})
+    SLICK_GOLDEN_SCAN(PrefixAdd, double, dv, 0.0, 0.3125)
+    SLICK_GOLDEN_SCAN(PrefixMax, int64_t, iv, MaxInt::identity(), int64_t{42})
+    SLICK_GOLDEN_SCAN(PrefixMax, double, dv, Max::identity(), 42.5)
+    SLICK_GOLDEN_SCAN(PrefixMin, int64_t, iv, MinInt::identity(), int64_t{-42})
+    SLICK_GOLDEN_SCAN(PrefixMin, double, dv, Min::identity(), -42.5)
+#undef SLICK_GOLDEN_SCAN
+
+#define SLICK_GOLDEN_SURVIVORS(NAME, T, VALUES, DUPS)                       \
+  mix(#NAME "/" #T, [&](uint64_t h) {                                       \
+    auto fn = [](const T* v, std::size_t m, uint64_t* mask) {               \
+      return kernels::NAME(v, m, mask);                                     \
+    };                                                                      \
+    return DigestSurvivors(DigestSurvivors(h, VALUES, fn), DUPS, fn);       \
+  });
+    SLICK_GOLDEN_SURVIVORS(MaxSurvivors, int64_t, iv, idup)
+    SLICK_GOLDEN_SURVIVORS(MaxSurvivors, double, dv, ddup)
+    SLICK_GOLDEN_SURVIVORS(MinSurvivors, int64_t, iv, idup)
+    SLICK_GOLDEN_SURVIVORS(MinSurvivors, double, dv, ddup)
+#undef SLICK_GOLDEN_SURVIVORS
+
+    mix("PrefixCountGreater/size_t", [&](uint64_t h) {
+      util::SplitMix64 rng(5000 + n);
+      std::vector<std::size_t> ranges(n);
+      for (auto& r : ranges) r = 1 + rng.NextBounded(1 << 14);
+      std::sort(ranges.rbegin(), ranges.rend());
+      for (const std::size_t bound :
+           {std::size_t{0}, std::size_t{1}, std::size_t{1} << 13,
+            std::size_t{1} << 20, ~std::size_t{0} - 1}) {
+        h = MixValue(h, kernels::PrefixCountGreater(ranges.data(), n, bound));
+      }
+      // Values with the top bit set: the count must order them unsigned.
+      for (auto& r : ranges) r |= std::size_t{1} << 63;
+      return MixValue(h, kernels::PrefixCountGreater(ranges.data(), n,
+                                                     std::size_t{1} << 62));
+    });
+    mix("SubtractArrays/double", [&](uint64_t h) {
+      const std::vector<double> b = GoldenDoubles(n, 6000 + n);
+      std::vector<double> out(n);
+      kernels::SubtractArrays(dv.data(), b.data(), out.data(), n);
+      return Mix(h, out);
+    });
+  }
+  return d;
+}
+
+struct GoldenRow {
+  const char* kernel;
+  uint64_t scalar, avx2, avx512;
+};
+
+// Produced by the hand-written per-ISA kernels that preceded the
+// generic-vector bodies; the bodies reproduce every one of them.
+constexpr GoldenRow kGolden[] = {
+    {"FoldAdd/double", 0xe780facc5f9f8080, 0x6ad008966c10d035,
+     0xabce2586bca188d3},
+    {"FoldAdd/int64_t", 0xdb94ad9163822158, 0xdb94ad9163822158,
+     0xdb94ad9163822158},
+    {"FoldMax/double", 0x16649836004cc458, 0x16649836004cc458,
+     0x16649836004cc458},
+    {"FoldMax/int64_t", 0x747489ec9a387d88, 0x747489ec9a387d88,
+     0x747489ec9a387d88},
+    {"FoldMin/double", 0xba5e492cd831f370, 0xba5e492cd831f370,
+     0xba5e492cd831f370},
+    {"FoldMin/int64_t", 0xb4078ba9dbc1f0bb, 0xb4078ba9dbc1f0bb,
+     0xb4078ba9dbc1f0bb},
+    {"MaxSurvivors/double", 0xcff450618a990c8e, 0xcff450618a990c8e,
+     0xcff450618a990c8e},
+    {"MaxSurvivors/int64_t", 0x9fa8f401c4cf2bf4, 0x9fa8f401c4cf2bf4,
+     0x9fa8f401c4cf2bf4},
+    {"MinSurvivors/double", 0x0108521861b8f1c4, 0x0108521861b8f1c4,
+     0x0108521861b8f1c4},
+    {"MinSurvivors/int64_t", 0x5e57014f39e19611, 0x5e57014f39e19611,
+     0x5e57014f39e19611},
+    {"PrefixAdd/double", 0xeff441cd182c9579, 0x85a88135e8ea1c7d,
+     0x494b6186d7cc9df9},
+    {"PrefixAdd/int64_t", 0x1ddf2e4428553ef5, 0x1ddf2e4428553ef5,
+     0x1ddf2e4428553ef5},
+    {"PrefixCountGreater/size_t", 0x6ae2d03c56c369db, 0x6ae2d03c56c369db,
+     0x6ae2d03c56c369db},
+    {"PrefixMax/double", 0x6c3cc76e6898b491, 0x6c3cc76e6898b491,
+     0x6c3cc76e6898b491},
+    {"PrefixMax/int64_t", 0x14ee048354b35355, 0x14ee048354b35355,
+     0x14ee048354b35355},
+    {"PrefixMin/double", 0xe4b9105a5212dcb1, 0xe4b9105a5212dcb1,
+     0xe4b9105a5212dcb1},
+    {"PrefixMin/int64_t", 0xc572daa34dd37449, 0xc572daa34dd37449,
+     0xc572daa34dd37449},
+    {"SubtractArrays/double", 0xf65dc529a4f74541, 0xf65dc529a4f74541,
+     0xf65dc529a4f74541},
+    {"SuffixAdd/double", 0xa1c163f49694b67d, 0x9ab7b2b82fd0b519,
+     0x0a9248e2d9a1e065},
+    {"SuffixAdd/int64_t", 0xf215bf75822fbeb9, 0xf215bf75822fbeb9,
+     0xf215bf75822fbeb9},
+    {"SuffixMax/double", 0xca5adf88545ae5b9, 0xca5adf88545ae5b9,
+     0xca5adf88545ae5b9},
+    {"SuffixMax/int64_t", 0x8684e32b8a81f3a5, 0x8684e32b8a81f3a5,
+     0x8684e32b8a81f3a5},
+    {"SuffixMin/double", 0x19344db48315aaad, 0x19344db48315aaad,
+     0x19344db48315aaad},
+    {"SuffixMin/int64_t", 0x28d1074044a8c965, 0x28d1074044a8c965,
+     0x28d1074044a8c965},
+};
+
+TEST(KernelsGoldenTest, OutputsMatchPinnedDigestsAtEveryLevel) {
+  ForEachCompiledLevel([&](kernels::SimdLevel level) {
+    // aarch64 has no pinned column: the W=2 leg below runs its kernel
+    // bodies against the scalar oracle instead.
+    if (level == kernels::SimdLevel::kNeon) return;
+    SCOPED_TRACE(std::string("level=") + kernels::SimdLevelName(level));
+    const Digests d = ComputeGoldenDigests();
+    EXPECT_EQ(d.size(), std::size(kGolden));
+    for (const GoldenRow& row : kGolden) {
+      const uint64_t want = level == kernels::SimdLevel::kAvx512 ? row.avx512
+                            : level == kernels::SimdLevel::kAvx2 ? row.avx2
+                                                                 : row.scalar;
+      const auto it = d.find(row.kernel);
+      if (it == d.end()) {
+        ADD_FAILURE() << "no digest for " << row.kernel;
+      } else {
+        EXPECT_EQ(it->second, want) << row.kernel;
+      }
+    }
+    if (::testing::Test::HasFailure()) {  // the actual column, for review
+      for (const auto& [kernel, digest] : d) {
+        std::printf("  %s %s 0x%016llx\n", kernels::SimdLevelName(level),
+                    kernel.c_str(), static_cast<unsigned long long>(digest));
+      }
+    }
+  });
+}
+
+// ------------------------------------------------------------------
+// The W=2 leg. aarch64's kNeon level runs each generic-vector body at two
+// lanes with no target attribute, so the very same instantiation runs on
+// any host: drive it directly (not through dispatch) against the scalar
+// forms, exactly except for double sums, which reassociate.
+// ------------------------------------------------------------------
+
+namespace detail = kernels::detail;
+
+template <typename Op, typename T>
+void ExpectW2Matches(const std::vector<T>& got, const std::vector<T>& want,
+                     double tol) {
+  if constexpr (std::is_same_v<Op, detail::AddOp> &&
+                std::is_floating_point_v<T>) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got[i], want[i], tol) << "i=" << i;
+    }
+  } else {
+    EXPECT_EQ(got, want);
+  }
+}
+
+// Fold, then suffix and prefix scans with the identity and `carry`, out of
+// place and in place.
+template <typename Op, typename T>
+void CheckW2Folds(const std::vector<T>& v, T carry) {
+  const std::size_t n = v.size();
+  double abs_sum = std::abs(static_cast<double>(carry));
+  for (const T x : v) abs_sum += std::abs(static_cast<double>(x));
+  const double tol = 1e-12 * abs_sum;
+  using Fold = detail::Fold<Op, T>;
+  ExpectW2Matches<Op, T>({Fold::template Vector<2>(v.data(), n)},
+                         {Fold::Scalar(v.data(), n)}, tol);
+  auto check_scan = [&](auto kernel, T c) {
+    using K = decltype(kernel);
+    std::vector<T> got(n), want(n);
+    K::template Vector<2>(v.data(), got.data(), n, c);
+    K::Scalar(v.data(), want.data(), n, c);
+    ExpectW2Matches<Op, T>(got, want, tol);
+    got = v;
+    K::template Vector<2>(got.data(), got.data(), n, c);
+    ExpectW2Matches<Op, T>(got, want, tol);
+  };
+  for (const T c : {Op::template kIdentity<T>, carry}) {
+    check_scan(detail::SuffixScan<Op, T>{}, c);
+    check_scan(detail::PrefixScan<Op, T>{}, c);
+  }
+}
+
+template <typename Op, typename T>
+void CheckW2Survivors(const std::vector<T>& v) {
+  using K = detail::Survivors<Op, T>;
+  std::vector<uint64_t> got(v.size() / 64 + 1, 0), want = got;
+  EXPECT_EQ(K::template Vector<2>(v.data(), v.size(), got.data()),
+            K::Scalar(v.data(), v.size(), want.data()));
+  EXPECT_EQ(got, want);
+}
+
+TEST(KernelsW2Test, NeonBodiesMatchScalarOracleOnAnyHost) {
+  for (const std::size_t n : GoldenSizes()) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<int64_t> iv = GoldenInts(n, 1000 + n);
+    const std::vector<double> dv = GoldenDoubles(n, 2000 + n);
+    CheckW2Folds<detail::AddOp>(iv, int64_t{1234567});
+    CheckW2Folds<detail::MaxOp>(iv, int64_t{42});
+    CheckW2Folds<detail::MinOp>(iv, int64_t{-42});
+    CheckW2Folds<detail::AddOp>(dv, 0.3125);
+    CheckW2Folds<detail::MaxOp>(dv, 42.5);
+    CheckW2Folds<detail::MinOp>(dv, -42.5);
+    for (const auto& ints : {iv, GoldenDuplicates<int64_t>(n, 3000 + n)}) {
+      CheckW2Survivors<detail::MaxOp>(ints);
+      CheckW2Survivors<detail::MinOp>(ints);
+    }
+    for (const auto& dbls : {dv, GoldenDuplicates<double>(n, 4000 + n)}) {
+      CheckW2Survivors<detail::MaxOp>(dbls);
+      CheckW2Survivors<detail::MinOp>(dbls);
+    }
+
+    util::SplitMix64 rng(5000 + n);
+    std::vector<std::size_t> ranges(n);
+    for (auto& r : ranges) r = 1 + rng.NextBounded(1 << 14);
+    std::sort(ranges.rbegin(), ranges.rend());
+    for (const std::size_t bound :
+         {std::size_t{0}, std::size_t{1}, std::size_t{1} << 13,
+          std::size_t{1} << 20}) {
+      EXPECT_EQ(detail::CountGreater::Vector<2>(ranges.data(), n, bound),
+                detail::CountGreater::Scalar(ranges.data(), n, bound));
+    }
+    for (auto& r : ranges) r |= std::size_t{1} << 63;  // unsigned order
+    EXPECT_EQ(
+        detail::CountGreater::Vector<2>(ranges.data(), n, std::size_t{1} << 62),
+        n);
+
+    const std::vector<double> b = GoldenDoubles(n, 6000 + n);
+    std::vector<double> got(n), want(n);
+    detail::Subtract::Vector<2>(dv.data(), b.data(), got.data(), n);
+    detail::Subtract::Scalar(dv.data(), b.data(), want.data(), n);
+    EXPECT_EQ(got, want);
+  }
 }
 
 // Compile-time wiring of the batch traits.

@@ -184,6 +184,50 @@ TEST(ShmLeaseReclaimTest, DeadProducerIsReclaimedAndConsumerSkipsHole) {
   EXPECT_EQ(stats.leases_reclaimed, 1u);
   EXPECT_EQ(stats.slots_tombstoned, 4u);
   EXPECT_EQ(stats.zombie_fences, 0u);
+  EXPECT_LE(ring.occupancy_highwater(), ring.capacity());
+}
+
+// The occupancy high-water gauge is sampled as pos0 + n - head after a
+// lease publish. Two lease producers race a consumer that pops as fast as
+// it can, so the consumer routinely drains one producer's span and the
+// other's later one before the first finishes publishing: head must be
+// read before the publish walk, or the difference wraps to ~2^64.
+TEST(ShmLeaseReclaimTest, HighwaterStaysWithinCapacityUnderEagerConsumer) {
+  IntRing ring(64);
+  constexpr std::size_t kProducers = 2;
+  constexpr std::size_t kPerProducer = 100'000;
+  std::atomic<std::size_t> finished{0};
+  std::atomic<std::size_t> sent_total{0};
+  auto produce = [&] {
+    auto producer = ring.AttachProducer();
+    const std::array<int, 4> batch{1, 2, 3, 4};
+    std::size_t sent = 0;
+    while (sent < kPerProducer) {
+      std::size_t pushed = 0;
+      const IntLease::Result r =
+          producer.TryPush(batch.data(), batch.size(), &pushed);
+      sent += pushed;
+      if (r == IntLease::Result::kFull) std::this_thread::yield();
+      if (r == IntLease::Result::kFenced || r == IntLease::Result::kClosed) {
+        break;  // no reaper runs here: the count check below reports it
+      }
+    }
+    sent_total.fetch_add(sent, std::memory_order_relaxed);
+    finished.fetch_add(1, std::memory_order_release);
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t p = 0; p < kProducers; ++p) threads.emplace_back(produce);
+  std::array<int, 64> out{};
+  std::size_t popped = 0;
+  while (finished.load(std::memory_order_acquire) < kProducers ||
+         !ring.empty()) {
+    popped += ring.try_pop_n(out.data(), out.size());
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(popped, sent_total.load(std::memory_order_relaxed));
+  EXPECT_GE(popped, kProducers * kPerProducer);
+  EXPECT_GT(ring.occupancy_highwater(), 0u);
+  EXPECT_LE(ring.occupancy_highwater(), ring.capacity());
 }
 
 // The zombie-resume race in miniature, single process, forged clock: a
@@ -558,6 +602,9 @@ TEST_P(ShmLeaseProcessKillChaos, EngineDrainsBitIdenticalAfterSigkills) {
     ASSERT_EQ(engine.shard(p).query(), oracle.query()) << "shard " << p;
     EXPECT_EQ(snap.shards[p].tuples_out, lived.size()) << "shard " << p;
     EXPECT_EQ(snap.shards[p].leases_reclaimed, 1u) << "shard " << p;
+    EXPECT_LE(engine.shard_ring(p).occupancy_highwater(),
+              engine.shard_ring(p).capacity())
+        << "shard " << p;
     total_tombstoned += snap.shards[p].slots_tombstoned;
     total_zombie_fences += snap.shards[p].zombie_fences;
   }
