@@ -1,541 +1,16 @@
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <thread>
-#include <utility>
-
-#include "runtime/fault.h"
-#include "util/annotations.h"
-#include "util/check.h"
-#include "util/math.h"
+#include "runtime/ring.h"
 
 namespace slick::runtime {
 
 /// Bounded lock-free multi-producer ring — the ingress channel that lets N
 /// producer threads (or the TCP front door's event loops) feed a shard
-/// directly, with no router hop. Same slick_queue lineage as SpscRing
-/// (power-of-two slot array, free-running 64-bit cursors) extended with the
-/// reserve/publish protocol of Vyukov's bounded MPMC queue: producers CAS a
-/// shared `tail_` cursor to *reserve* a contiguous claim range, write the
-/// slots, then *publish* each slot by storing its per-slot sequence number
-/// — so slot visibility is per-slot, not implied by the cursor, and
-/// concurrent claims publish independently in any order.
-///
-/// Per-slot sequence protocol: `seq_[pos & mask] == pos + 1` means "the
-/// element at free-running position `pos` is published". A slot never
-/// needs resetting on release: positions for one index differ by a full
-/// lap (capacity), so a stale previous-lap value can never equal the
-/// current lap's expected number, and replay after ResetClaims re-reads
-/// still-published slots untouched. Producers never read `seq_` at all —
-/// slot-reuse safety rides on the claim window being bounded by `head_`
-/// (tail_ - head_ <= capacity), exactly like the SPSC ring.
-///
-/// API parity with SpscRing — by design, so `ShardWorker` zero-copy drains
-/// and the supervised-recovery ResetClaims replay run unchanged over
-/// either ring (the conformance suite in tests/ring_conformance_test.cc
-/// pins this):
-///  * Producer: TryClaimPush(max, *count) hands out a contiguous reserved
-///    span; PublishPush(span, count) publishes it (the span pointer names
-///    the claim — with concurrent producers a bare count cannot). Every
-///    reserved slot MUST eventually be published (piecewise is fine:
-///    publish [span, span+k) then [span+k, ...)); an abandoned reservation
-///    wedges the consumer at that position by design, the same contract as
-///    a producer dying inside SpscRing::push_n.
-///  * Consumer: TryClaimPop / ReleasePop / ClaimPop / ResetClaims keep the
-///    SPSC shape: the claim cursor advances immediately (disjoint spans),
-///    releases may lag and batch (the [head_, claim_) span is the crash
-///    replay log), ResetClaims rewinds claim_ to head_ at quiescence.
-///    Claim handout is CAS-based, so concurrent consumers receive disjoint
-///    spans; releases remain single-releaser-in-claim-order (the shard
-///    worker), as with deferred releases under supervision.
-///  * close() bumps both eventcounts; ClaimPop returns nullptr only once
-///    the ring is closed AND settled (every reserved slot published and
-///    claimed) — an in-flight publish racing close() still lands.
-///
-/// Blocking mirrors SpscRing's snapshot/recheck/wait eventcount protocol;
-/// head_event_ uses notify_all because several producers may park on one
-/// full ring.
+/// directly, with no router hop. The ring core (runtime/ring.h) over the
+/// Seq publish protocol: producers CAS the shared tail to reserve a span,
+/// write it, then publish each slot with a release store of its sequence
+/// word, so concurrent claims publish independently and in any order.
 template <typename T>
-class MpmcRing {
- public:
-  /// Trait the engine keys producer-handle support on (SpscRing is false).
-  static constexpr bool kMultiProducer = true;
-
-  /// Capacity is rounded up to a power of two (shift/mask addressing).
-  explicit MpmcRing(std::size_t min_capacity)
-      : mask_((std::size_t{1} << util::CeilLog2(
-                   min_capacity < 2 ? 2 : min_capacity)) -
-              1),
-        slots_(std::make_unique<T[]>(mask_ + 1)),
-        seq_(std::make_unique<std::atomic<uint64_t>[]>(mask_ + 1)) {
-    // Value-initialized seq words (all zero) are correct as-is: the
-    // published test is the exact equality seq == pos + 1, and zero never
-    // matches any pos + 1 a consumer can be waiting on.
-  }
-
-  MpmcRing(const MpmcRing&) = delete;
-  MpmcRing& operator=(const MpmcRing&) = delete;
-
-  std::size_t capacity() const { return mask_ + 1; }
-
-  /// Approximate occupancy: reserved (published or in flight) minus
-  /// released. Exact only at quiescence — with concurrent producers any
-  /// instantaneous read is advisory.
-  std::size_t size() const {
-    // Consumer cursor FIRST (the acquire orders the pair): head_ can only
-    // lag its true value by the time tail_ is read, so the difference can
-    // only over-count. Reading tail_ first lets a concurrent ReleasePop
-    // advance head_ past the stale tail_ and wrap the unsigned
-    // subtraction to ~2^64.
-    const uint64_t h = head_.load(std::memory_order_acquire);
-    const uint64_t t = tail_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(t - h);
-  }
-  bool empty() const { return size() == 0; }
-
-  /// Highest occupancy observed at any publish point (upper bound).
-  /// Readable from any thread; feeds the ring_highwater telemetry gauge.
-  std::size_t occupancy_highwater() const {
-    // relaxed: monotonic telemetry gauge, no data published through it.
-    return highwater_.load(std::memory_order_relaxed);
-  }
-
-  // ------------------------------------------------------------------
-  // Producer side (any number of threads).
-  // ------------------------------------------------------------------
-
-  /// Reserves a contiguous span of up to `max` free slots for in-place
-  /// writing, without blocking: returns the span start and sets *count to
-  /// its length (capped at the array wrap, so a full claim may take two
-  /// calls). Returns nullptr with *count == 0 when the ring is full or
-  /// closed. The reservation is exclusive the moment the CAS lands; nothing
-  /// is visible to consumers until PublishPush(span, count). May spuriously
-  /// report full under a stale cursor race with concurrent producers —
-  /// callers already retry (try-semantics) or wait (push_n).
-  SLICK_NODISCARD SLICK_REALTIME T* TryClaimPush(std::size_t max,
-                                                 std::size_t* count) {
-    *count = 0;
-    // relaxed: closed_ is a monotonic go/no-go flag here — a stale `false`
-    // only admits one more element a consumer still drains after close()
-    // (ClaimPop settles reservations). Promptness, not correctness.
-    if (closed_.load(std::memory_order_relaxed)) return nullptr;
-    // Chaos hook (no-op unless SLICK_FAULT_INJECTION): a spurious "full"
-    // exercises every caller's full-ring handling on an arbitrary claim.
-    if (fault::Fire(fault::Point::kRingSpuriousFull, fault_lane_)) {
-      return nullptr;
-    }
-    // relaxed: the CAS below re-validates tail_; this is only the first
-    // guess, and a stale value costs one retry, never a torn reservation.
-    uint64_t tail = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      // acquire: pairs with ReleasePop's head_ release store, so slots the
-      // consumer has released are safe to overwrite. Every reservation is
-      // bounded by head_ + capacity, which is what makes per-slot free
-      // checks unnecessary on the producer side.
-      const uint64_t head = head_.load(std::memory_order_acquire);
-      const uint64_t used = tail - head;
-      if (used >= capacity()) {
-        // Full — unless our tail_ view is stale (another producer moved it
-        // past the head_ we just read, making `used` overshoot). Re-read
-        // once: a genuinely full ring shows a stable tail_.
-        // relaxed: same as the initial guess — the CAS re-validates.
-        const uint64_t fresh = tail_.load(std::memory_order_relaxed);
-        if (fresh == tail) return nullptr;
-        tail = fresh;
-        continue;
-      }
-      const std::size_t free = capacity() - static_cast<std::size_t>(used);
-      const std::size_t idx = static_cast<std::size_t>(tail) & mask_;
-      std::size_t n = max < free ? max : free;
-      const std::size_t to_wrap = capacity() - idx;
-      if (n > to_wrap) n = to_wrap;
-      // relaxed: the reservation itself carries no payload — overwrite
-      // safety came from the head_ acquire above (sequenced before every
-      // later slot store), and publication is the per-slot seq_ release in
-      // PublishPush. Failure reloads tail for the retry.
-      if (tail_.compare_exchange_weak(tail, tail + n,
-                                      std::memory_order_relaxed,
-                                      std::memory_order_relaxed)) {
-        *count = n;
-        return slots_.get() + idx;
-      }
-    }
-  }
-
-  /// Publishes slots previously reserved with TryClaimPush. `span` must be
-  /// (a suffix-aligned piece of) the pointer that claim returned — with
-  /// concurrent producers the pointer is what names the claim. Partial
-  /// publication is allowed only as a split (every reserved slot must be
-  /// published exactly once, in any per-piece order).
-  SLICK_REALTIME void PublishPush(T* span, std::size_t count) {
-    if (count == 0) return;
-    // Chaos hook (no-op unless SLICK_FAULT_INJECTION): stall the publish
-    // to widen the claim-reserved-but-unpublished window.
-    if (fault::Fire(fault::Point::kPublishDelay, fault_lane_)) {
-      fault::InjectDelay();
-    }
-    const auto idx = static_cast<std::size_t>(span - slots_.get());
-    SLICK_DCHECK(idx <= mask_, "publish span outside the slot array");
-    // Recover the free-running position from the slot index: every live
-    // reservation lies within one lap of head_ (the claim bound), and
-    // head_ cannot pass an unpublished reservation, so the position is
-    // the unique value in [head_, head_ + capacity) congruent to idx.
-    // relaxed: any head_ value between claim time and now yields the same
-    // answer (see the lap-uniqueness argument above); no data rides on it.
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    const uint64_t pos = head + ((static_cast<uint64_t>(idx) - head) & mask_);
-    // Telemetry: occupancy right after this publish (upper bound, CAS-max
-    // because publishes race). relaxed: monotonic gauge, reporting only.
-    const auto occupancy = static_cast<std::size_t>(pos + count - head);
-    uint64_t hw = highwater_.load(std::memory_order_relaxed);
-    while (occupancy > hw &&
-           !highwater_.compare_exchange_weak(hw, occupancy,
-                                             std::memory_order_relaxed,
-                                             std::memory_order_relaxed)) {
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      // release: publishes the slot's contents; pairs with the consumer's
-      // acquire load of the same seq word in TryClaimPop.
-      seq_[(pos + i) & mask_].store(pos + i + 1, std::memory_order_release);
-    }
-    // One event bump per publish batch; wakes parked consumers. release:
-    // orders the seq stores before the bump the waiter snapshots.
-    tail_event_.fetch_add(1, std::memory_order_release);
-    tail_event_.notify_all();
-  }
-
-  /// Copies up to `n` elements from `src` into the ring without blocking.
-  /// Returns the number accepted (0 when full or closed). Built on the
-  /// claim/publish primitives — at most two segments when the span wraps.
-  SLICK_NODISCARD SLICK_REALTIME std::size_t try_push_n(const T* src,
-                                                        std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      std::size_t k = 0;
-      T* span = TryClaimPush(n - done, &k);
-      if (span == nullptr) break;
-      for (std::size_t i = 0; i < k; ++i) span[i] = src[done + i];
-      PublishPush(span, k);
-      done += k;
-      // A claim is capped at the array wrap; continue only when this one
-      // ended exactly there (a second segment may be free at the front).
-      if (span + k != slots_.get() + capacity()) break;
-    }
-    return done;
-  }
-
-  SLICK_NODISCARD SLICK_REALTIME bool try_push(const T& v) {
-    return try_push_n(&v, 1) == 1;
-  }
-
-  /// Blocking push: copies all `n` elements, parking when the ring is full
-  /// (the runtime's backpressure). Returns the number accepted, which is
-  /// `n` unless the ring is closed mid-wait. Safe from any number of
-  /// producer threads concurrently.
-  std::size_t push_n(const T* src, std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      const std::size_t k = try_push_n(src + done, n - done);
-      done += k;
-      if (done == n) break;
-      if (k == 0) {
-        // relaxed: only decides when to give up; WaitForSpace() re-checks
-        // closed_ with acquire before parking, and close() bumps
-        // head_event_, so a stale `false` here can cost one extra loop
-        // iteration but never a lost wakeup or a missed shutdown.
-        if (closed_.load(std::memory_order_relaxed)) break;
-        WaitForSpace();
-      }
-    }
-    return done;
-  }
-
-  /// Producers are done: wakes everyone; consumers settle outstanding
-  /// reservations, drain, then see ClaimPop return nullptr. Idempotent;
-  /// callable from any side during shutdown.
-  void close() {
-    closed_.store(true, std::memory_order_release);
-    tail_event_.fetch_add(1, std::memory_order_release);
-    head_event_.fetch_add(1, std::memory_order_release);
-    tail_event_.notify_all();
-    head_event_.notify_all();
-  }
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
-  /// Names this ring's lane for the fault-injection schedule (the owning
-  /// shard index). Set before threads start; unused unless the build
-  /// defines SLICK_FAULT_INJECTION.
-  void set_fault_lane(std::size_t lane) { fault_lane_ = lane; }
-
-  /// Read-only views of the eventcount words the wait paths snapshot —
-  /// introspection for the deterministic model checker (tests/model/),
-  /// which replays WaitForData/WaitForSpace step-by-step against these.
-  uint32_t tail_event_word() const {
-    return tail_event_.load(std::memory_order_acquire);
-  }
-  uint32_t head_event_word() const {
-    return head_event_.load(std::memory_order_acquire);
-  }
-
-  /// The exact wake predicates the wait paths recheck before parking —
-  /// exposed so the model checker's step machines can replay the
-  /// snapshot/recheck/park protocol without approximating the conditions
-  /// (an approximated predicate would let the model spin where the real
-  /// consumer parks, or park where it spins).
-  bool pop_ready_or_settled() const { return PopReadyOrSettled(); }
-  bool push_space_or_closed() const { return PushSpaceOrClosed(); }
-
-  // ------------------------------------------------------------------
-  // Consumer side (one logical consumer, as with SpscRing: the shard
-  // worker — claim handout is CAS-guarded, so concurrent claimers get
-  // disjoint spans, but ReleasePop must stay single-releaser-in-order).
-  // ------------------------------------------------------------------
-
-  /// Claims a contiguous span of up to `max` *published* elements for
-  /// in-place reading, without blocking: returns the span start and sets
-  /// *count to its length (capped at the array wrap and at the published
-  /// prefix — a reserved-but-unpublished slot ends the span). Returns
-  /// nullptr with *count == 0 when no unclaimed published element is ready.
-  /// Sequential claims return disjoint spans; producers cannot overwrite a
-  /// span until ReleasePop hands its slots back.
-  SLICK_NODISCARD SLICK_REALTIME T* TryClaimPop(std::size_t max,
-                                                std::size_t* count) {
-    *count = 0;
-    // relaxed: the CAS below re-validates claim_; a stale first guess
-    // costs one rescan. Data visibility rides on the seq_ acquires.
-    uint64_t claim = claim_.load(std::memory_order_relaxed);
-    for (;;) {
-      const std::size_t idx = static_cast<std::size_t>(claim) & mask_;
-      std::size_t limit = max;
-      const std::size_t to_wrap = capacity() - idx;
-      if (limit > to_wrap) limit = to_wrap;
-      std::size_t n = 0;
-      // Walk the published prefix: seq == pos + 1 is the per-slot
-      // publication mark. acquire: pairs with PublishPush's seq release
-      // store, making the slot's contents visible before we hand it out.
-      while (n < limit && seq_[idx + n].load(std::memory_order_acquire) ==
-                              claim + n + 1) {
-        ++n;
-      }
-      if (n == 0) return nullptr;
-      // relaxed: the cursor advance transfers no payload (the seq acquires
-      // above did); failure means another claimer won — rescan from its
-      // cursor.
-      if (claim_.compare_exchange_weak(claim, claim + n,
-                                       std::memory_order_relaxed,
-                                       std::memory_order_relaxed)) {
-        *count = n;
-        return slots_.get() + idx;
-      }
-    }
-  }
-
-  /// Returns `count` claimed slots to the producers, oldest first. Releases
-  /// may lag claims (head_ <= claim_) and may batch several claimed spans
-  /// into one call. Single releaser, in claim order — the shard worker's
-  /// contract, identical to the SPSC ring.
-  SLICK_REALTIME void ReleasePop(std::size_t count) {
-    // relaxed: head_ is the releaser's own cursor (single releaser).
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    // relaxed: DCHECK only — never release past the claim.
-    SLICK_DCHECK(head + count <= claim_.load(std::memory_order_relaxed),
-                 "ReleasePop past the claim cursor");
-    // release: hands the drained slots back; pairs with TryClaimPush's
-    // acquire load of head_ so producers never overwrite a slot a consumer
-    // is still reading.
-    head_.store(head + count, std::memory_order_release);
-    // release: orders the cursor store before the bump a parked producer
-    // snapshots in WaitForSpace. notify_all: several producers may park.
-    head_event_.fetch_add(1, std::memory_order_release);
-    head_event_.notify_all();
-  }
-
-  /// Rewinds the claim cursor to the release cursor, so every unreleased
-  /// element is claimable again — the recovery primitive (see SpscRing).
-  /// Works unchanged under the seq protocol because releases never reset
-  /// seq words: the replayed span is still marked published and its values
-  /// are protected from producers by the head_ claim bound. MUST only be
-  /// called when no consumer thread is live (after join, before respawn).
-  void ResetClaims() {
-    // relaxed: thread-lifecycle contract — the caller owns the consumer
-    // role here, and thread join/spawn provide the ordering.
-    claim_.store(head_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  }
-
-  /// Elements reserved but not yet claimed (published or still in flight)
-  /// — an upper bound on the backlog still to aggregate; exact once every
-  /// producer has published.
-  std::size_t unconsumed() const {
-    // Consumer cursor FIRST, same as size(): the acquire keeps tail_'s
-    // load from being hoisted above it, so a stale claim_ only makes the
-    // backlog read high — tail_-first can wrap the subtraction to ~2^64
-    // when ClaimPop advances claim_ between the loads.
-    const uint64_t c = claim_.load(std::memory_order_acquire);
-    const uint64_t t = tail_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(t - c);
-  }
-
-  /// Elements claimed (aggregated or in flight) but not yet released — the
-  /// replay span a recovery would re-drain.
-  std::size_t unreleased() const {
-    // Trailing cursor (head_) FIRST, like size()/unconsumed(): a release
-    // landing between the loads then only inflates the span instead of
-    // wrapping claim_ - head_ to ~2^64. Telemetry view only; never used
-    // to index slots.
-    const uint64_t h = head_.load(std::memory_order_acquire);
-    const uint64_t c = claim_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(c - h);
-  }
-
-  /// Blocking claim: returns a non-empty span (and its length in *count)
-  /// unless the ring is closed AND settled (every reserved slot published
-  /// and claimed), in which case it returns nullptr — the consumer's
-  /// shutdown signal. A reservation in flight at close() is waited for,
-  /// never stranded: its publisher is inside try_push_n and will publish
-  /// and bump the event momentarily.
-  SLICK_NODISCARD T* ClaimPop(std::size_t max, std::size_t* count) {
-    while (true) {
-      T* span = TryClaimPop(max, count);
-      if (span != nullptr) return span;
-      if (closed_.load(std::memory_order_acquire)) {
-        // Re-check: elements published before close() must still drain.
-        span = TryClaimPop(max, count);
-        if (span != nullptr) return span;
-        const uint64_t t = tail_.load(std::memory_order_acquire);
-        // relaxed: own cursor (single logical consumer).
-        if (t == claim_.load(std::memory_order_relaxed)) return nullptr;
-        // Reserved-but-unpublished slots remain: fall through and park on
-        // tail_event_ until the in-flight publish bumps it.
-      }
-      WaitForData();
-    }
-  }
-
-  /// Moves up to `max` elements into `dst` without blocking. Returns the
-  /// number popped (0 when nothing is ready). Built on the claim/release
-  /// primitives — at most two segments when the span wraps.
-  SLICK_NODISCARD SLICK_REALTIME std::size_t try_pop_n(T* dst,
-                                                       std::size_t max) {
-    std::size_t done = 0;
-    while (done < max) {
-      std::size_t k = 0;
-      T* span = TryClaimPop(max - done, &k);
-      if (span == nullptr) break;
-      for (std::size_t i = 0; i < k; ++i) dst[done + i] = std::move(span[i]);
-      ReleasePop(k);
-      done += k;
-      // A claim is capped at the array wrap; continue only when this one
-      // ended exactly there (a second segment may be ready at the front).
-      if (span + k != slots_.get() + capacity()) break;
-    }
-    return done;
-  }
-
-  /// Blocking pop: returns at least one element unless the ring is closed
-  /// and settled, in which case it returns 0 — the consumer's shutdown
-  /// signal.
-  std::size_t pop_n(T* dst, std::size_t max) {
-    std::size_t k = 0;
-    T* span = ClaimPop(max, &k);
-    if (span == nullptr) return 0;
-    for (std::size_t i = 0; i < k; ++i) dst[i] = std::move(span[i]);
-    ReleasePop(k);
-    return k;
-  }
-
- private:
-  /// The consumer wake condition: an unclaimed published slot is ready, or
-  /// shutdown has settled (closed and every reservation claimed). "Closed
-  /// with reservations in flight" deliberately does NOT wake: the waiter
-  /// stays parked until the in-flight publish bumps tail_event_ — the
-  /// condition ClaimPop's settle check mirrors.
-  bool PopReadyOrSettled() const {
-    // relaxed: claim_ is effectively the consumer's own cursor here; a
-    // stale value only makes the wake conservative by one slot.
-    const uint64_t claim = claim_.load(std::memory_order_relaxed);
-    // acquire: pairs with PublishPush's seq release (the data-ready edge).
-    if (seq_[static_cast<std::size_t>(claim) & mask_].load(
-            std::memory_order_acquire) == claim + 1) {
-      return true;
-    }
-    if (!closed_.load(std::memory_order_acquire)) return false;
-    return tail_.load(std::memory_order_acquire) == claim;
-  }
-
-  bool PushSpaceOrClosed() const {
-    // relaxed: tail_ here only gates a retry; the claim path re-validates
-    // with its own CAS, so a stale read costs one loop, nothing more.
-    return static_cast<std::size_t>(tail_.load(std::memory_order_relaxed) -
-                                    head_.load(std::memory_order_acquire)) <
-               capacity() ||
-           closed_.load(std::memory_order_acquire);
-  }
-
-  // Briefly spin/yield, then park on the eventcount. The snapshot/recheck
-  // ordering makes the park race-free: if a producer publishes after our
-  // recheck, its event bump differs from `e` and wait() returns at once.
-  SLICK_REALTIME_ALLOW(
-      "idle-only parking: spin-then-eventcount wait, entered only when the "
-      "ring has nothing claimable — never on the per-tuple path")
-  void WaitForData() {
-    for (int i = 0; i < kSpinYields; ++i) {
-      if (PopReadyOrSettled()) return;
-      std::this_thread::yield();
-    }
-    const uint32_t e = tail_event_.load(std::memory_order_acquire);
-    if (PopReadyOrSettled()) return;
-    tail_event_.wait(e, std::memory_order_acquire);
-  }
-
-  SLICK_REALTIME_ALLOW(
-      "idle-only parking: spin-then-eventcount wait, entered only when the "
-      "ring is full — backpressure by design, never on the per-tuple path")
-  void WaitForSpace() {
-    for (int i = 0; i < kSpinYields; ++i) {
-      if (PushSpaceOrClosed()) return;
-      std::this_thread::yield();
-    }
-    const uint32_t e = head_event_.load(std::memory_order_acquire);
-    if (PushSpaceOrClosed()) return;
-    head_event_.wait(e, std::memory_order_acquire);
-  }
-
-  // On an oversubscribed host a yield hands the core to the peer almost for
-  // free, so only a few attempts before parking (parking costs a futex
-  // round trip but never burns the peer's quantum).
-  static constexpr int kSpinYields = 4;
-  static constexpr std::size_t kCacheLine = 64;
-
-  const std::size_t mask_;
-  const std::unique_ptr<T[]> slots_;
-  // Per-slot publication sequence words (see class comment). Deliberately
-  // a dense array, not one-per-cache-line: values stay contiguous for the
-  // zero-copy drains, and adjacent-seq sharing only costs on publishes of
-  // neighbouring claims. slick-lint: allow(atomic-alignas)
-  const std::unique_ptr<std::atomic<uint64_t>[]> seq_;
-  // Fault-injection lane id (shard index); written once before threads
-  // start, read only inside fault::Fire hooks.
-  std::size_t fault_lane_ = 0;
-
-  // Release cursor (slots at [0, head_) are reusable by producers).
-  alignas(kCacheLine) std::atomic<uint64_t> head_{0};
-  // Shared reservation cursor — the producers' CAS target.
-  alignas(kCacheLine) std::atomic<uint64_t> tail_{0};
-  // Consumer claim cursor, with head_ <= claim_ <= tail_.
-  alignas(kCacheLine) std::atomic<uint64_t> claim_{0};
-  // Eventcounts for parking (bumped per batch, and by close()).
-  alignas(kCacheLine) std::atomic<uint32_t> tail_event_{0};
-  alignas(kCacheLine) std::atomic<uint32_t> head_event_{0};
-  // Written once at shutdown but polled by all sides; its own line keeps
-  // the poll from false-sharing with the head_event_ bump traffic.
-  alignas(kCacheLine) std::atomic<bool> closed_{false};
-  // Occupancy high-water (telemetry; CAS-max, publishes race).
-  alignas(kCacheLine) std::atomic<uint64_t> highwater_{0};
-};
+using MpmcRing = RingCore<T, SeqPublish>;
 
 }  // namespace slick::runtime

@@ -1,19 +1,13 @@
 #pragma once
 
-#include <linux/futex.h>
 #include <signal.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <climits>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <ctime>
-#include <deque>
 #include <new>
 #include <string>
 #include <string_view>
@@ -23,72 +17,14 @@
 #include <vector>
 
 #include "runtime/fault.h"
+#include "runtime/ring.h"
 #include "util/annotations.h"
 #include "util/check.h"
 #include "util/clock.h"
-#include "util/math.h"
 #include "util/serde.h"
 #include "util/shm.h"
 
 namespace slick::runtime {
-
-/// Cross-process eventcount primitives (DESIGN.md §17). libstdc++'s
-/// std::atomic::wait/notify lowers to FUTEX_PRIVATE_FLAG operations, which
-/// the kernel scopes to one mm — a producer process would never wake a
-/// consumer parked in another process. The shm ring therefore parks on raw
-/// *shared* futexes over its eventcount words. Every wait is bounded (50ms)
-/// so a wake lost to a crashed peer self-heals into a recheck instead of a
-/// hang — parking is an idle-path optimization here, never a correctness
-/// dependency.
-namespace shm_futex {
-
-inline constexpr long kWaitBoundNs = 50'000'000;  // self-healing recheck
-
-SLICK_REALTIME_ALLOW(
-    "idle-only parking: bounded shared-futex wait, entered only when the "
-    "ring has no work for this side — never on the per-tuple path")
-inline void WaitBounded(std::atomic<uint32_t>* word, uint32_t expected,
-                        std::atomic<uint32_t>* waiters) {
-  timespec ts{};
-  ts.tv_sec = 0;
-  ts.tv_nsec = kWaitBoundNs;
-  // Advertise BEFORE sleeping, seq_cst: pairs with WakeAll's seq_cst
-  // load. Either the waker's event bump precedes the kernel's
-  // word==expected check (we don't sleep), or our increment precedes the
-  // waker's waiters load (it issues the wake). A waiter that dies here
-  // leaves the count stuck high — that only costs the fast-path skip,
-  // never a hang, and the ring this counter serves is the one built to
-  // survive exactly such deaths.
-  waiters->fetch_add(1, std::memory_order_seq_cst);
-  // FUTEX_WAIT without FUTEX_PRIVATE_FLAG: shared across processes.
-  ::syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), FUTEX_WAIT,
-            expected, &ts, nullptr, 0);
-  // relaxed: the decrement publishes nothing — a waker that misses it
-  // merely issues one spurious FUTEX_WAKE on an empty queue.
-  waiters->fetch_sub(1, std::memory_order_relaxed);
-}
-
-SLICK_REALTIME_ALLOW(
-    "eventcount wake: the common nobody-parked case is one shared load; "
-    "the futex syscall fires only for real sleepers — cheaper than the "
-    "in-process ring's notify_all, which is the same shape")
-inline void WakeAll(std::atomic<uint32_t>* word,
-                    std::atomic<uint32_t>* waiters) {
-  // The fence orders the caller's event-word bump (a release RMW)
-  // before the waiters load — the StoreLoad edge the C++ model does not
-  // grant release-then-seq_cst on its own. With it: either the bump
-  // precedes the kernel's word==expected check (the waiter won't sleep),
-  // or the waiter's advertise precedes this load (we issue the wake).
-  // Even a lost race costs at most one kWaitBoundNs recheck, by design.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // relaxed: the fence above supplies the ordering; the load itself only
-  // needs the value, and a stale nonzero just falls through to the wake.
-  if (waiters->load(std::memory_order_relaxed) == 0) return;
-  ::syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), FUTEX_WAKE,
-            INT_MAX, nullptr, nullptr, 0);
-}
-
-}  // namespace shm_futex
 
 /// In-flight claim state a lease record advertises (DESIGN.md §17 lease
 /// state machine). The distinction carries *crash attribution*: kOwned
@@ -123,29 +59,12 @@ struct alignas(64) ShmLease {
 };
 static_assert(sizeof(ShmLease) == 64, "one lease per cache line");
 
-/// The segment's shared cursor/eventcount block. Same roles as MpmcRing's
-/// members; hoisted into a POD so both processes address the one copy.
+/// The segment's shared control block: the ring core's cursor/eventcount
+/// block, followed by the reaper telemetry trio — reaper-written,
+/// snapshot-read; they share one padded line because only the (rare) reap
+/// path writes them.
 struct ShmControl {
-  /// Release cursor (slots at [0, head) are reusable by producers).
-  alignas(64) std::atomic<uint64_t> head;
-  /// Shared reservation cursor — the producers' CAS target.
-  alignas(64) std::atomic<uint64_t> tail;
-  /// Consumer claim cursor, with head <= claim <= tail.
-  alignas(64) std::atomic<uint64_t> claim;
-  /// Eventcounts for parking (bumped per batch, by close(), by the
-  /// reaper), each sharing its cache line with the count of sleepers on
-  /// it: the waker reads both together, and the nobody-parked fast path
-  /// (the steady state) skips the futex syscall entirely.
-  alignas(64) std::atomic<uint32_t> tail_event;
-  std::atomic<uint32_t> tail_waiters;  // slick-lint: allow(atomic-alignas)
-  alignas(64) std::atomic<uint32_t> head_event;
-  std::atomic<uint32_t> head_waiters;  // slick-lint: allow(atomic-alignas)
-  /// Written once at shutdown but polled by all sides.
-  alignas(64) std::atomic<uint32_t> closed;
-  /// Occupancy high-water (telemetry; CAS-max, publishes race).
-  alignas(64) std::atomic<uint64_t> highwater;
-  /// Reaper telemetry trio — reaper-written, snapshot-read; they share one
-  /// padded line because only the (rare) reap path writes them.
+  RingControl ring;
   alignas(64) std::atomic<uint64_t> leases_reclaimed;
   std::atomic<uint64_t> slots_tombstoned;  // slick-lint: allow(atomic-alignas)
   std::atomic<uint64_t> zombie_fences;     // slick-lint: allow(atomic-alignas)
@@ -172,18 +91,6 @@ struct ShmHeader {
 
 inline constexpr uint32_t kShmMagic = 0x4D485353u;  // "SSHM"
 inline constexpr uint32_t kShmVersion = 2;
-
-/// Dead-slot marker, ORed into a slot's seq word when the slot is
-/// sequenced by tombstone repair instead of a producer publish. Folding
-/// the mark into the seq word (rather than a second word array) makes the
-/// seq CAS the ONE arbitration point for a slot's fate: whoever sequences
-/// the slot decides — atomically — whether it is live (pos + 1) or dead
-/// ((pos + 1) | kSeqDead), and the loser's CAS observes that verdict.
-/// There is no window where a slot is published-then-retroactively-killed,
-/// which is what makes LeaseProducer's `landed` count exact. Positions are
-/// free-running counters that cannot plausibly reach 2^62, so the top bit
-/// is free.
-inline constexpr uint64_t kSeqDead = uint64_t{1} << 63;
 
 /// Byte offsets of the segment's regions. Header, control and lease
 /// offsets are independent of the slot type, which is what lets the
@@ -255,29 +162,23 @@ inline uint32_t ShmHeaderCrc(const ShmHeader& h) {
   return util::Crc32(std::string_view(buf, sizeof(buf)));
 }
 
-/// Per-reap-pass repair counts (also accumulated into the segment's
-/// telemetry words); what Supervise() folds into RuntimeSnapshot.
-struct ShmReapStats {
-  uint64_t leases_reclaimed = 0;
-  uint64_t slots_tombstoned = 0;
-  uint64_t zombie_fences = 0;
-};
-
-/// Lifetime telemetry counters read from the segment.
+/// Reaper repair counts: per reap pass (ReapExpiredLeases) or lifetime
+/// totals accumulated in the segment (lease_stats); what Supervise() folds
+/// into RuntimeSnapshot.
 struct ShmLeaseStats {
   uint64_t leases_reclaimed = 0;
   uint64_t slots_tombstoned = 0;
   uint64_t zombie_fences = 0;
 };
 
-/// Crash-robust shared-memory MPMC ring (DESIGN.md §17): the MpmcRing
-/// reserve/publish protocol relocated into a POSIX shm segment, plus the
-/// machinery that makes "a producer is a separate process that can be
-/// SIGKILL'd mid-claim" survivable instead of a consumer wedge:
+/// Crash-robust shared-memory ring (DESIGN.md §17): the ring core over the
+/// SeqCas publish protocol (runtime/ring.h), with its control block, seq
+/// words and slots bound into a POSIX shm segment, plus the machinery that
+/// makes "a producer is a separate process that can be SIGKILL'd mid-claim"
+/// survivable instead of a consumer wedge:
 ///
 ///  * **Sequencing is a CAS, not a store.** A slot's seq word moves from
-///    its previous-lap value (pos + 1 - capacity, possibly dead-marked,
-///    or 0 on the first lap) to its this-lap value by compare-exchange,
+///    its previous-lap value to its this-lap value by compare-exchange,
 ///    from exactly one of two writers: the owning producer publishing it
 ///    live (pos + 1), or tombstone repair marking it dead
 ///    ((pos + 1) | kSeqDead). Whichever CAS lands first decides the
@@ -290,25 +191,21 @@ struct ShmLeaseStats {
 ///    consumed, which is what makes LeaseProducer::PublishClaimed's
 ///    `landed` count exact. The consumer skips dead slots — claim
 ///    advances past them, release accounting folds them into head —
-///    instead of wedging on a hole. Like live seq values, dead marks are
-///    lap-unique and never need clearing.
+///    instead of wedging on a hole.
 ///  * **Leases + reaper** (ShmLease above, ReapExpiredLeases below) give
 ///    the consumer side the authority to decide a producer is gone and
 ///    repair its in-flight span.
 ///
-/// API parity with MpmcRing is deliberate and pinned by the conformance
-/// suite: ShardWorker drains, supervised-recovery ResetClaims replay, and
-/// lease-less in-process producer threads all run unchanged over this
-/// ring. The consumer side stays single-logical-consumer (the shard
-/// worker), same as MpmcRing.
+/// The ring API is the core's, pinned by the conformance suite: ShardWorker
+/// drains, supervised-recovery ResetClaims replay, and lease-less
+/// in-process producer threads all run unchanged over this ring.
 template <typename T>
-class ShmRing {
+class ShmRing : public RingCore<T, SeqCasPublish> {
   static_assert(std::is_trivially_copyable_v<T>,
                 "shm slots cross process boundaries as raw bytes");
+  using Core = RingCore<T, SeqCasPublish>;
 
  public:
-  /// Trait the engine keys producer-handle support on.
-  static constexpr bool kMultiProducer = true;
   /// Trait marking cross-process residency (conformance suite naming,
   /// engine reaper detection).
   static constexpr bool kShared = true;
@@ -360,388 +257,32 @@ class ShmRing {
                 "shm segment: layout hash mismatch (different slot type "
                 "or struct revision)");
     SLICK_CHECK(hdr->total_bytes <= map_.size(), "shm segment truncated");
-    mask_ = static_cast<std::size_t>(hdr->capacity) - 1;
     BindPointers();
   }
 
-  ShmRing(const ShmRing&) = delete;
-  ShmRing& operator=(const ShmRing&) = delete;
-
-  ShmRing(ShmRing&& other) noexcept
-      : map_(std::move(other.map_)),
-        mask_(other.mask_),
-        hdr_(std::exchange(other.hdr_, nullptr)),
-        ctl_(std::exchange(other.ctl_, nullptr)),
-        leases_(std::exchange(other.leases_, nullptr)),
-        seq_(std::exchange(other.seq_, nullptr)),
-        slots_(std::exchange(other.slots_, nullptr)),
-        fault_lane_(other.fault_lane_),
-        pending_(std::move(other.pending_)) {}
-
-  std::size_t capacity() const { return mask_ + 1; }
   std::size_t max_producers() const {
     return static_cast<std::size_t>(hdr_->max_producers);
   }
   /// The /dev/shm name for named segments; empty for anonymous ones.
   const std::string& name() const { return map_.name(); }
 
-  /// Approximate occupancy — reserved minus released; includes tombstoned
-  /// slots until the consumer skips them. Advisory outside quiescence.
-  std::size_t size() const {
-    // Consumer cursor FIRST (see MpmcRing::size): a stale head can only
-    // over-count; tail-first can wrap the unsigned subtraction.
-    const uint64_t h = ctl_->head.load(std::memory_order_acquire);
-    const uint64_t t = ctl_->tail.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(t - h);
-  }
-  bool empty() const { return size() == 0; }
-
-  /// Highest occupancy observed at any publish point (upper bound).
-  std::size_t occupancy_highwater() const {
-    // relaxed: monotonic telemetry gauge, no data published through it.
-    return static_cast<std::size_t>(
-        ctl_->highwater.load(std::memory_order_relaxed));
-  }
-
   /// Lifetime reaper telemetry (leases reclaimed, slots tombstoned,
   /// zombie fences) accumulated in the segment.
   ShmLeaseStats lease_stats() const {
     // relaxed: reporting counters, read at sampling points.
     return ShmLeaseStats{
-        ctl_->leases_reclaimed.load(std::memory_order_relaxed),
-        ctl_->slots_tombstoned.load(std::memory_order_relaxed),
-        ctl_->zombie_fences.load(std::memory_order_relaxed)};
-  }
-
-  // ------------------------------------------------------------------
-  // Producer side — lease-less (in-process threads: the router, the
-  // conformance suite). Cross-process producers layer a lease on top via
-  // AttachProducer()/LeaseProducer below, which reuse these primitives.
-  // ------------------------------------------------------------------
-
-  /// Reserves a contiguous span of up to `max` free slots for in-place
-  /// writing; same contract as MpmcRing::TryClaimPush (nullptr when full
-  /// or closed, span capped at the array wrap, bounded by head+capacity).
-  SLICK_NODISCARD SLICK_REALTIME T* TryClaimPush(std::size_t max,
-                                                 std::size_t* count) {
-    *count = 0;
-    // relaxed: closed is a monotonic go/no-go flag; promptness only.
-    if (ctl_->closed.load(std::memory_order_relaxed) != 0) return nullptr;
-    if (fault::Fire(fault::Point::kRingSpuriousFull, fault_lane_)) {
-      return nullptr;
-    }
-    uint64_t tail = ctl_->tail.load(std::memory_order_relaxed);
-    for (;;) {
-      // acquire: pairs with ReleasePop's head release store — released
-      // slots are safe to overwrite (the claim bound, as in MpmcRing).
-      const uint64_t head = ctl_->head.load(std::memory_order_acquire);
-      const uint64_t used = tail - head;
-      if (used >= capacity()) {
-        // relaxed: the CAS re-validates; a stale tail costs one retry.
-        const uint64_t fresh = ctl_->tail.load(std::memory_order_relaxed);
-        if (fresh == tail) return nullptr;
-        tail = fresh;
-        continue;
-      }
-      const std::size_t free = capacity() - static_cast<std::size_t>(used);
-      const std::size_t idx = static_cast<std::size_t>(tail) & mask_;
-      std::size_t n = max < free ? max : free;
-      const std::size_t to_wrap = capacity() - idx;
-      if (n > to_wrap) n = to_wrap;
-      // relaxed: the reservation carries no payload; publication is the
-      // per-slot seq CAS in PublishPush.
-      if (ctl_->tail.compare_exchange_weak(tail, tail + n,
-                                           std::memory_order_relaxed,
-                                           std::memory_order_relaxed)) {
-        *count = n;
-        return slots_ + idx;
-      }
-    }
-  }
-
-  /// Publishes slots previously reserved with TryClaimPush (same span /
-  /// piecewise rules as MpmcRing::PublishPush). Publication is per-slot
-  /// CAS from the previous-lap seq value — see the class comment; for a
-  /// lease-less producer the CAS can only lose to a reaper repairing a
-  /// kIntent lease whose recorded span overlapped this claim (a blind
-  /// spot DESIGN.md §17 documents; the grace period makes it require a
-  /// claim held unpublished for a full lease period).
-  SLICK_REALTIME void PublishPush(T* span, std::size_t count) {
-    if (count == 0) return;
-    if (fault::Fire(fault::Point::kPublishDelay, fault_lane_)) {
-      fault::InjectDelay();
-    }
-    const auto idx = static_cast<std::size_t>(span - slots_);
-    SLICK_DCHECK(idx <= mask_, "publish span outside the slot array");
-    // Recover the free-running position from the slot index (unique in
-    // [head, head + capacity) — see MpmcRing::PublishPush).
-    // relaxed: any head value between claim time and now yields the same
-    // answer; no data rides on it.
-    const uint64_t head = ctl_->head.load(std::memory_order_relaxed);
-    const uint64_t pos = head + ((static_cast<uint64_t>(idx) - head) & mask_);
-    UpdateHighwater(pos + count - head);
-    for (std::size_t i = 0; i < count; ++i) {
-      PublishSlot(pos + i);
-    }
-    // release: orders the seq CASes before the bump a waiter snapshots.
-    ctl_->tail_event.fetch_add(1, std::memory_order_release);
-    shm_futex::WakeAll(&ctl_->tail_event, &ctl_->tail_waiters);
-  }
-
-  /// Copies up to `n` elements into the ring without blocking; returns the
-  /// number accepted (0 when full or closed).
-  SLICK_NODISCARD SLICK_REALTIME std::size_t try_push_n(const T* src,
-                                                        std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      std::size_t k = 0;
-      T* span = TryClaimPush(n - done, &k);
-      if (span == nullptr) break;
-      for (std::size_t i = 0; i < k; ++i) span[i] = src[done + i];
-      PublishPush(span, k);
-      done += k;
-      // A claim is capped at the array wrap; continue only when this one
-      // ended exactly there.
-      if (span + k != slots_ + capacity()) break;
-    }
-    return done;
-  }
-
-  SLICK_NODISCARD SLICK_REALTIME bool try_push(const T& v) {
-    return try_push_n(&v, 1) == 1;
-  }
-
-  /// Blocking push (backpressure): parks on the head eventcount when
-  /// full. Returns the number accepted — `n` unless closed mid-wait.
-  std::size_t push_n(const T* src, std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      const std::size_t k = try_push_n(src + done, n - done);
-      done += k;
-      if (done == n) break;
-      if (k == 0) {
-        // relaxed: WaitForSpace rechecks closed with acquire before
-        // parking, and close() bumps head_event — a stale false costs
-        // one loop, never a missed shutdown.
-        if (ctl_->closed.load(std::memory_order_relaxed) != 0) break;
-        WaitForSpace();
-      }
-    }
-    return done;
-  }
-
-  /// Producers are done: wakes everyone; consumers settle, drain, then
-  /// see ClaimPop return nullptr. Idempotent, any side.
-  void close() {
-    ctl_->closed.store(1, std::memory_order_release);
-    ctl_->tail_event.fetch_add(1, std::memory_order_release);
-    ctl_->head_event.fetch_add(1, std::memory_order_release);
-    shm_futex::WakeAll(&ctl_->tail_event, &ctl_->tail_waiters);
-    shm_futex::WakeAll(&ctl_->head_event, &ctl_->head_waiters);
-  }
-
-  bool closed() const {
-    return ctl_->closed.load(std::memory_order_acquire) != 0;
-  }
-
-  /// Names this ring's lane for the fault-injection schedule (the owning
-  /// shard index). Set before threads start.
-  void set_fault_lane(std::size_t lane) { fault_lane_ = lane; }
-
-  /// Eventcount introspection for the deterministic model checker — same
-  /// contract as MpmcRing.
-  uint32_t tail_event_word() const {
-    return ctl_->tail_event.load(std::memory_order_acquire);
-  }
-  uint32_t head_event_word() const {
-    return ctl_->head_event.load(std::memory_order_acquire);
-  }
-  bool pop_ready_or_settled() const { return PopReadyOrSettled(); }
-  bool push_space_or_closed() const { return PushSpaceOrClosed(); }
-
-  // ------------------------------------------------------------------
-  // Consumer side (one logical consumer: the shard worker).
-  // ------------------------------------------------------------------
-
-  /// Claims a contiguous span of up to `max` published *live* elements.
-  /// Differs from MpmcRing only in tombstone handling: a leading run of
-  /// dead slots (seq dead-marked by repair) is skipped — claim advances
-  /// past it and the skip is folded into release accounting — and a dead
-  /// slot inside the window ends the returned span (the next claim skips
-  /// it).
-  SLICK_NODISCARD SLICK_REALTIME T* TryClaimPop(std::size_t max,
-                                                std::size_t* count) {
-    *count = 0;
-    for (;;) {
-      // relaxed: effectively the consumer's own cursor; data visibility
-      // rides on the per-slot seq acquires.
-      uint64_t claim = ctl_->claim.load(std::memory_order_relaxed);
-      // Skip the leading dead run, if any.
-      std::size_t skip = 0;
-      while (skip < capacity()) {
-        const uint64_t pos = claim + skip;
-        const std::size_t idx = static_cast<std::size_t>(pos) & mask_;
-        // acquire: pairs with the publish/tombstone CAS release stores.
-        if (seq_[idx].load(std::memory_order_acquire) !=
-            ((pos + 1) | kSeqDead)) {
-          break;
-        }
-        ++skip;
-      }
-      if (skip > 0) {
-        // relaxed: cursor handout only, same as the live-claim CAS below.
-        if (!ctl_->claim.compare_exchange_strong(claim, claim + skip,
-                                                 std::memory_order_relaxed,
-                                                 std::memory_order_relaxed)) {
-          continue;  // another claimer moved the cursor — rescan
-        }
-        AccountTombstones(skip);
-        claim += skip;
-      }
-      const std::size_t idx = static_cast<std::size_t>(claim) & mask_;
-      std::size_t limit = max;
-      const std::size_t to_wrap = capacity() - idx;
-      if (limit > to_wrap) limit = to_wrap;
-      std::size_t n = 0;
-      while (n < limit) {
-        const uint64_t pos = claim + n;
-        // acquire: pairs with PublishSlot's seq CAS release — the slot's
-        // contents are visible before we hand it out. A dead-marked slot
-        // fails the equality too, ending the live span at the hole.
-        if (seq_[idx + n].load(std::memory_order_acquire) != pos + 1) break;
-        ++n;
-      }
-      if (n == 0) {
-        if (skip > 0) continue;  // progressed past a dead run — rescan
-        return nullptr;
-      }
-      uint64_t expect = claim;
-      // relaxed: the cursor advance transfers no payload (the seq
-      // acquires above did).
-      if (ctl_->claim.compare_exchange_strong(expect, claim + n,
-                                              std::memory_order_relaxed,
-                                              std::memory_order_relaxed)) {
-        pending_.push_back(Pending{0, n});
-        *count = n;
-        return slots_ + idx;
-      }
-    }
-  }
-
-  /// Returns `count` claimed *live* slots, oldest first; may batch spans.
-  /// Tombstoned positions the claim cursor skipped are folded in here —
-  /// the head advance covers them the moment every live slot claimed
-  /// before them is released, preserving MpmcRing's releases-lag-claims
-  /// replay contract over a ring with holes. Single releaser, in claim
-  /// order (the shard worker).
-  SLICK_REALTIME void ReleasePop(std::size_t count) {
-    uint64_t advance = 0;
-    std::size_t remaining = count;
-    while (!pending_.empty()) {
-      Pending& front = pending_.front();
-      if (front.live == 0) {  // dead run: absorb into the head advance
-        advance += front.dead;
-        pending_.pop_front();
-        continue;
-      }
-      if (remaining == 0) break;
-      const std::size_t take =
-          remaining < front.live ? remaining : front.live;
-      front.live -= take;
-      remaining -= take;
-      advance += take;
-      if (front.live != 0) break;
-      pending_.pop_front();  // loop absorbs a trailing dead run, if any
-    }
-    SLICK_DCHECK(remaining == 0, "ReleasePop past the claimed span");
-    advance += remaining;  // defensive: keep cursors consistent anyway
-    if (advance == 0) return;
-    // relaxed: head is the releaser's own cursor (single releaser).
-    const uint64_t head = ctl_->head.load(std::memory_order_relaxed);
-    // release: hands slots back; pairs with TryClaimPush's head acquire.
-    ctl_->head.store(head + advance, std::memory_order_release);
-    ctl_->head_event.fetch_add(1, std::memory_order_release);
-    shm_futex::WakeAll(&ctl_->head_event, &ctl_->head_waiters);
-  }
-
-  /// Rewinds the claim cursor to the release cursor — the recovery
-  /// primitive (see MpmcRing::ResetClaims; unchanged rationale: seq words
-  /// survive releases, so the replayed span re-reads published slots and
-  /// re-skips dead-marked ones). MUST only run with no consumer
-  /// thread live; the pending skip accounting resets with the cursor.
-  void ResetClaims() {
-    pending_.clear();
-    // relaxed: thread-lifecycle contract — join/spawn order the cursors.
-    ctl_->claim.store(ctl_->head.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  }
-
-  /// Elements reserved but not yet claimed (upper bound; includes
-  /// tombstoned positions not yet skipped).
-  std::size_t unconsumed() const {
-    const uint64_t c = ctl_->claim.load(std::memory_order_acquire);
-    const uint64_t t = ctl_->tail.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(t - c);
-  }
-
-  /// Elements claimed but not yet released — the replay span. Upper
-  /// bound: includes tombstoned positions queued in the skip accounting.
-  std::size_t unreleased() const {
-    const uint64_t h = ctl_->head.load(std::memory_order_acquire);
-    const uint64_t c = ctl_->claim.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(c - h);
-  }
-
-  /// Blocking claim; nullptr only once closed AND settled (every reserved
-  /// slot published-or-tombstoned and claimed). An abandoned reservation
-  /// parks the consumer here until the reaper repairs it and bumps the
-  /// tail eventcount — the exact wedge this ring exists to break.
-  SLICK_NODISCARD T* ClaimPop(std::size_t max, std::size_t* count) {
-    while (true) {
-      T* span = TryClaimPop(max, count);
-      if (span != nullptr) return span;
-      if (closed()) {
-        span = TryClaimPop(max, count);
-        if (span != nullptr) return span;
-        const uint64_t t = ctl_->tail.load(std::memory_order_acquire);
-        // relaxed: own cursor (single logical consumer).
-        if (t == ctl_->claim.load(std::memory_order_relaxed)) return nullptr;
-      }
-      WaitForData();
-    }
-  }
-
-  /// Non-blocking bulk move; returns the number popped.
-  SLICK_NODISCARD SLICK_REALTIME std::size_t try_pop_n(T* dst,
-                                                       std::size_t max) {
-    std::size_t done = 0;
-    while (done < max) {
-      std::size_t k = 0;
-      T* span = TryClaimPop(max - done, &k);
-      if (span == nullptr) break;
-      for (std::size_t i = 0; i < k; ++i) dst[done + i] = span[i];
-      ReleasePop(k);
-      done += k;
-      if (span + k != slots_ + capacity()) break;
-    }
-    return done;
-  }
-
-  /// Blocking pop; 0 only once closed and settled.
-  std::size_t pop_n(T* dst, std::size_t max) {
-    std::size_t k = 0;
-    T* span = ClaimPop(max, &k);
-    if (span == nullptr) return 0;
-    for (std::size_t i = 0; i < k; ++i) dst[i] = span[i];
-    ReleasePop(k);
-    return k;
+        shm_->leases_reclaimed.load(std::memory_order_relaxed),
+        shm_->slots_tombstoned.load(std::memory_order_relaxed),
+        shm_->zombie_fences.load(std::memory_order_relaxed)};
   }
 
   // ------------------------------------------------------------------
   // Lease layer — cross-process producers. A LeaseProducer wraps the
-  // claim/publish primitives with the lease protocol: record intent,
-  // CAS, mark owned, heartbeat, epoch-gate every publish. Its fault
-  // hooks are where the chaos suite SIGKILLs the producer process.
+  // core's reserve loop and slot sequencing with the lease protocol:
+  // record intent, CAS, mark owned, heartbeat, epoch-gate every publish.
+  // Its fault hooks are where the chaos suite SIGKILLs the producer
+  // process. (Lease-less in-process producers use the core's
+  // TryClaimPush/PublishPush directly.)
   // ------------------------------------------------------------------
 
   class LeaseProducer {
@@ -773,114 +314,88 @@ class ShmRing {
              lease_->pid.load(std::memory_order_acquire) != my_pid_;
     }
 
-    /// Reserves up to `max` slots, recording the claim in the lease
-    /// BEFORE the tail CAS so a crash at any instruction is attributable:
-    /// kIntent while the CAS outcome is unknown, kOwned once it landed.
+    /// Reserves up to `max` slots through the core's reserve loop,
+    /// recording the claim in the lease BEFORE each tail CAS attempt so a
+    /// crash at any instruction is attributable: kIntent while the CAS
+    /// outcome is unknown, kOwned once it landed.
     SLICK_NODISCARD Result TryBeginClaim(std::size_t max,
                                          std::size_t* claimed) {
       *claimed = 0;
       SLICK_DCHECK(claim_len_ == 0, "previous claim not yet published");
-      ShmControl* ctl = ring_->ctl_;
-      // relaxed: monotonic go/no-go, promptness only (as TryClaimPush).
-      if (ctl->closed.load(std::memory_order_relaxed) != 0) {
-        return Result::kClosed;
-      }
-      uint64_t tail = ctl->tail.load(std::memory_order_relaxed);
+      if (ring_->closed()) return Result::kClosed;
+      if (Fenced()) return Result::kFenced;
+      bool fenced = false;
       bool first_attempt = true;
-      for (;;) {
-        // Re-checked on EVERY iteration, before the intent stores below:
-        // a producer that stalled long enough to be fenced mid-loop must
-        // not rewrite span state into a lease row the reaper may already
-        // have reclaimed (and a new holder re-taken).
-        if (Fenced()) return Result::kFenced;
-        // acquire: the claim bound (pairs with head release stores).
-        const uint64_t head = ctl->head.load(std::memory_order_acquire);
-        const uint64_t used = tail - head;
-        if (used >= ring_->capacity()) {
-          // relaxed: tail is only a CAS seed — staleness costs one retry.
-          const uint64_t fresh = ctl->tail.load(std::memory_order_relaxed);
-          if (fresh == tail) return Result::kFull;
-          tail = fresh;
-          continue;
-        }
-        const std::size_t free =
-            ring_->capacity() - static_cast<std::size_t>(used);
-        const std::size_t idx = static_cast<std::size_t>(tail) & ring_->mask_;
-        std::size_t n = max < free ? max : free;
-        const std::size_t to_wrap = ring_->capacity() - idx;
-        if (n > to_wrap) n = to_wrap;
-        // Record intent before the CAS. relaxed stores sequenced before
-        // the span_state release: the reaper reads state first (acquire)
-        // and only then trusts the span bounds.
-        lease_->span_begin.store(tail, std::memory_order_relaxed);
-        lease_->span_end.store(tail + n, std::memory_order_relaxed);
-        lease_->span_state.store(
-            static_cast<uint64_t>(LeaseSpan::kIntent),
-            std::memory_order_release);
-        if (first_attempt) {
-          first_attempt = false;
-          // Crash with intent recorded but the CAS outcome unknown — the
-          // reaper must take the grace-wait branch for this lease. Fired
-          // once per claim attempt so chaos kill ordinals stay stable
-          // across CAS retries.
-          if (fault::Fire(fault::Point::kShmDieBeforeClaim,
-                          ring_->fault_lane_)) {
-            fault::DieHard();
-          }
-        }
-        // relaxed CAS: the reservation carries no payload (see
-        // TryClaimPush); the lease stores above are what must be visible
-        // first, and their release covers that.
-        if (ctl->tail.compare_exchange_weak(tail, tail + n,
-                                            std::memory_order_relaxed,
-                                            std::memory_order_relaxed)) {
-          // Dekker pairing with the reaper (its seq_cst fence sits
-          // between the epoch bump and the span/tail reads): if the
-          // reaper's repair read tail BEFORE this CAS landed — and so
-          // skipped [tail, tail + n) as never-claimed — this fence
-          // guarantees the Fenced() load below observes the bump, so
-          // the span is never stranded outside every repair.
-          std::atomic_thread_fence(std::memory_order_seq_cst);
-          if (Fenced()) {
-            // The tail CAS landed, so the span is exclusively ours —
-            // but the lease row no longer is: the reaper fenced us
-            // between the intent record and here, and may already have
-            // reclaimed the row (a stalled kIntent holder) or handed it
-            // to a new producer. Publishing is forbidden and the span
-            // can be recorded in no lease, so repair it ourselves,
-            // exactly as the reaper would, and wake the consumer off
-            // the hole. Without this, the reservation would be a
-            // permanently unsequenced hole no reap pass can see — the
-            // wedge this ring exists to eliminate.
-            uint64_t dead = 0;
-            for (uint64_t pos = tail; pos < tail + n; ++pos) {
-              if (ring_->TombstoneSlot(pos)) ++dead;
+      uint64_t tail = 0;
+      const std::size_t n =
+          ring_->Reserve(max, &tail, [&](uint64_t pos, std::size_t k) {
+            // Re-checked before EVERY attempt's intent stores: a producer
+            // that stalled long enough to be fenced mid-loop must not
+            // rewrite span state into a lease row the reaper may already
+            // have reclaimed (and a new holder re-taken).
+            if (Fenced()) {
+              fenced = true;
+              return false;
             }
-            if (dead != 0) {
-              // relaxed: monotonic telemetry counter.
-              ctl->slots_tombstoned.fetch_add(dead,
-                                              std::memory_order_relaxed);
+            // relaxed span stores sequenced before the span_state release:
+            // the reaper reads state first (acquire), then trusts bounds.
+            lease_->span_begin.store(pos, std::memory_order_relaxed);
+            lease_->span_end.store(pos + k, std::memory_order_relaxed);
+            lease_->span_state.store(
+                static_cast<uint64_t>(LeaseSpan::kIntent),
+                std::memory_order_release);
+            // Crash with intent recorded but the CAS outcome unknown — the
+            // reaper must take the grace-wait branch for this lease. Fired
+            // once per claim so chaos kill ordinals stay stable across CAS
+            // retries.
+            if (std::exchange(first_attempt, false) &&
+                fault::Fire(fault::Point::kShmDieBeforeClaim,
+                            ring_->fault_lane_)) {
+              fault::DieHard();
             }
-            ctl->tail_event.fetch_add(1, std::memory_order_release);
-            shm_futex::WakeAll(&ctl->tail_event, &ctl->tail_waiters);
-            return Result::kFenced;
-          }
-          // The span is now certainly ours: upgrade the attribution. No
-          // heartbeat here: attach seeded one and every publish refreshes
-          // it, so claim-time staleness is already bounded by the last
-          // publish — and clock_gettime is a third of the whole lease
-          // overhead at batch 64. A holder that claims and then stalls
-          // past lease_ns is fenced either way; only the measuring point
-          // moves, by at most one claim-to-publish gap.
-          lease_->span_state.store(
-              static_cast<uint64_t>(LeaseSpan::kOwned),
-              std::memory_order_release);
-          claim_pos_ = tail;
-          claim_len_ = n;
-          *claimed = n;
-          return Result::kOk;
+            return true;
+          });
+      if (fenced) return Result::kFenced;
+      if (n == 0) return Result::kFull;
+      // Dekker pairing with the reaper (its seq_cst fence sits between the
+      // epoch bump and the span/tail reads): if the reaper's repair read
+      // tail BEFORE our CAS landed — and so skipped [tail, tail + n) as
+      // never-claimed — this fence guarantees the Fenced() load below
+      // observes the bump, so the span is never stranded outside every
+      // repair.
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (Fenced()) {
+        // The CAS landed, so the span is exclusively ours — but the lease
+        // row no longer is: the reaper fenced us between the intent record
+        // and here, and may already have reclaimed the row or handed it to
+        // a new producer. Publishing is forbidden and the span can be
+        // recorded in no lease, so repair it ourselves, exactly as the
+        // reaper would, and wake the consumer off the hole. Without this
+        // the reservation would be a permanently unsequenced hole no reap
+        // pass can see.
+        uint64_t dead = 0;
+        for (uint64_t pos = tail; pos < tail + n; ++pos) {
+          if (ring_->TombstoneSlot(pos)) ++dead;
         }
+        // relaxed: monotonic telemetry counter.
+        ring_->shm_->slots_tombstoned.fetch_add(dead,
+                                                std::memory_order_relaxed);
+        ring_->WakeConsumers();
+        return Result::kFenced;
       }
+      // The span is now certainly ours: upgrade the attribution. No
+      // heartbeat here: attach seeded one and every publish refreshes it,
+      // so claim-time staleness is already bounded by the last publish —
+      // and clock_gettime is a third of the whole lease overhead at batch
+      // 64. A holder that claims and then stalls past lease_ns is fenced
+      // either way; only the measuring point moves, by at most one
+      // claim-to-publish gap.
+      lease_->span_state.store(static_cast<uint64_t>(LeaseSpan::kOwned),
+                               std::memory_order_release);
+      claim_pos_ = tail;
+      claim_len_ = n;
+      *claimed = n;
+      return Result::kOk;
     }
 
     T* claim_data() const {
@@ -957,9 +472,7 @@ class ShmRing {
       claim_len_ = 0;
       // Wake the consumer even when landed < n: the reaper's tombstones
       // cover the rest, and an extra bump is harmless.
-      ring_->ctl_->tail_event.fetch_add(1, std::memory_order_release);
-      shm_futex::WakeAll(&ring_->ctl_->tail_event,
-                         &ring_->ctl_->tail_waiters);
+      ring_->WakeConsumers();
       return landed;
     }
 
@@ -1086,8 +599,8 @@ class ShmRing {
   ///     (the recorded CAS may have lost or never run) and skip
   ///     positions beyond tail or covered by another live lease's span.
   ///  3. RECLAIM: free the row (pid CAS to 0) and count it.
-  ShmReapStats ReapExpiredLeases(uint64_t now_ns, uint64_t lease_ns) {
-    ShmReapStats out;
+  ShmLeaseStats ReapExpiredLeases(uint64_t now_ns, uint64_t lease_ns) {
+    ShmLeaseStats out;
     for (std::size_t li = 0; li < max_producers(); ++li) {
       ShmLease& lease = leases_[li];
       // acquire: everything we read about this row below was published
@@ -1112,7 +625,7 @@ class ShmRing {
         if (!dead) {
           ++out.zombie_fences;
           // relaxed: monotonic telemetry counter; readers tolerate skew.
-          ctl_->zombie_fences.fetch_add(1, std::memory_order_relaxed);
+          shm_->zombie_fences.fetch_add(1, std::memory_order_relaxed);
         }
       }
 
@@ -1143,8 +656,9 @@ class ShmRing {
         const uint64_t begin =
             lease.span_begin.load(std::memory_order_relaxed);
         const uint64_t end = lease.span_end.load(std::memory_order_relaxed);
-        if (begin < end && end - begin <= capacity()) {
-          const uint64_t tail = ctl_->tail.load(std::memory_order_acquire);
+        if (begin < end && end - begin <= this->capacity()) {
+          const uint64_t tail =
+              this->ctl_->tail.load(std::memory_order_acquire);
           for (uint64_t pos = begin; pos < end; ++pos) {
             if (pos >= tail) continue;  // never claimed by anyone
             if (state == LeaseSpan::kIntent &&
@@ -1182,19 +696,18 @@ class ShmRing {
                                             std::memory_order_acq_rel,
                                             std::memory_order_relaxed)) {
         ++out.leases_reclaimed;
-        ctl_->leases_reclaimed.fetch_add(1, std::memory_order_relaxed);
+        shm_->leases_reclaimed.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (out.slots_tombstoned != 0) {
       // relaxed: monotonic telemetry counter; readers tolerate skew.
-      ctl_->slots_tombstoned.fetch_add(out.slots_tombstoned,
+      shm_->slots_tombstoned.fetch_add(out.slots_tombstoned,
                                        std::memory_order_relaxed);
     }
     if (out.slots_tombstoned != 0 || out.leases_reclaimed != 0) {
       // The consumer may be parked on a hole we just repaired: bump the
       // eventcount so it rescans (and skips) the tombstoned run.
-      ctl_->tail_event.fetch_add(1, std::memory_order_release);
-      shm_futex::WakeAll(&ctl_->tail_event, &ctl_->tail_waiters);
+      this->WakeConsumers();
     }
     return out;
   }
@@ -1227,22 +740,10 @@ class ShmRing {
     }
     return false;
   }
-  /// Claim-order skip accounting (consumer-thread private): each entry is
-  /// either a run of live claimed slots awaiting release ({0, n}) or a
-  /// run of tombstoned slots the claim cursor skipped ({n, 0}). Invariant:
-  /// a dead run is queued only while a live run precedes it unreleased
-  /// (otherwise the head advances immediately in AccountTombstones), so
-  /// draining releases always retires every queued entry.
-  struct Pending {
-    std::size_t dead;
-    std::size_t live;
-  };
-
   static std::size_t BytesFor(std::size_t min_capacity,
                               std::size_t max_producers) {
-    const std::size_t cap =
-        std::size_t{1} << util::CeilLog2(min_capacity < 2 ? 2 : min_capacity);
-    return ComputeShmLayout(cap, max_producers, sizeof(T), alignof(T))
+    return ComputeShmLayout(Core::RoundCapacity(min_capacity), max_producers,
+                            sizeof(T), alignof(T))
         .total_bytes;
   }
 
@@ -1250,14 +751,12 @@ class ShmRing {
   /// every shared object in place, then flips the header's ready flag.
   ShmRing(util::ShmMapping map, std::size_t min_capacity,
           std::size_t max_producers)
-      : map_(std::move(map)),
-        mask_((std::size_t{1} << util::CeilLog2(
-                   min_capacity < 2 ? 2 : min_capacity)) -
-              1) {
+      : map_(std::move(map)) {
     SLICK_CHECK(map_.valid(), "shm segment creation failed");
     SLICK_CHECK(max_producers >= 1, "shm ring needs at least one lease row");
+    const std::size_t cap = Core::RoundCapacity(min_capacity);
     const ShmLayout l =
-        ComputeShmLayout(capacity(), max_producers, sizeof(T), alignof(T));
+        ComputeShmLayout(cap, max_producers, sizeof(T), alignof(T));
     SLICK_CHECK(map_.size() >= l.total_bytes, "shm segment undersized");
     auto* base = static_cast<char*>(map_.data());
     auto* hdr = new (base) ShmHeader{};
@@ -1265,24 +764,21 @@ class ShmRing {
     for (std::size_t i = 0; i < max_producers; ++i) {
       new (base + l.lease_off + i * sizeof(ShmLease)) ShmLease{};
     }
-    for (std::size_t i = 0; i < capacity(); ++i) {
+    for (std::size_t i = 0; i < cap; ++i) {
       // Zero-valued seq words are correct as-is: the sequenced test is
       // the exact equality against pos + 1 (live) or its dead-marked
-      // variant. The per-slot words are deliberately dense — padding
-      // each to a cache line would multiply the segment footprint 8x;
-      // neighbouring-slot sharing is the same trade MpmcRing makes.
+      // variant.
       new (base + l.seq_off + i * sizeof(std::atomic<uint64_t>))
           std::atomic<uint64_t>(0);  // slick-lint: allow(atomic-alignas)
     }
     hdr->magic = kShmMagic;
     hdr->version = kShmVersion;
-    hdr->capacity = capacity();
+    hdr->capacity = cap;
     hdr->max_producers = max_producers;
     hdr->slot_size = sizeof(T);
     hdr->slot_align = alignof(T);
     hdr->total_bytes = l.total_bytes;
-    hdr->layout_hash =
-        ShmLayoutHash(capacity(), max_producers, sizeof(T), alignof(T));
+    hdr->layout_hash = ShmLayoutHash(cap, max_producers, sizeof(T), alignof(T));
     hdr->header_crc = ShmHeaderCrc(*hdr);
     BindPointers();
     // release: publishes every in-place construction above to attachers
@@ -1290,150 +786,30 @@ class ShmRing {
     hdr->ready.store(1, std::memory_order_release);
   }
 
+  /// Binds the header, control block, lease table, seq words and slots —
+  /// the one place that reads the segment layout for this ring.
   void BindPointers() {
     auto* base = static_cast<char*>(map_.data());
     hdr_ = reinterpret_cast<ShmHeader*>(base);
+    const auto cap = static_cast<std::size_t>(hdr_->capacity);
     const ShmLayout l = ComputeShmLayout(
-        capacity(), static_cast<std::size_t>(hdr_->max_producers), sizeof(T),
+        cap, static_cast<std::size_t>(hdr_->max_producers), sizeof(T),
         alignof(T));
-    ctl_ = reinterpret_cast<ShmControl*>(base + l.control_off);
+    shm_ = reinterpret_cast<ShmControl*>(base + l.control_off);
     leases_ = reinterpret_cast<ShmLease*>(base + l.lease_off);
-    seq_ = reinterpret_cast<std::atomic<uint64_t>*>(base + l.seq_off);
-    slots_ = reinterpret_cast<T*>(base + l.slot_off);
-  }
-
-  /// The one slot-sequencing primitive (class comment): CAS the seq word
-  /// from its previous-lap value to `desired`. Exactly one of {producer
-  /// publishing pos + 1, repair writing (pos + 1) | kSeqDead} wins each
-  /// slot; returns whether WE did.
-  SLICK_REALTIME bool SequenceSlot(uint64_t pos, uint64_t desired) {
-    const std::size_t idx = static_cast<std::size_t>(pos) & mask_;
-    uint64_t expected = pos >= capacity() ? pos + 1 - capacity() : 0;
-    // release on success: publishes the slot's contents (or the dead
-    // verdict); pairs with the consumer's seq acquire. acquire on
-    // failure: see who beat us (for a producer, the failure proves the
-    // fence: the repair CAS release-published the epoch bump before it).
-    if (seq_[idx].compare_exchange_strong(expected, desired,
-                                          std::memory_order_release,
-                                          std::memory_order_acquire)) {
-      return true;
-    }
-    // The previous lap may have ended tombstoned: its seq value then
-    // carries the dead mark. Retry against that variant once.
-    if (pos < capacity() ||
-        expected != ((pos + 1 - capacity()) | kSeqDead)) {
-      return false;
-    }
-    return seq_[idx].compare_exchange_strong(expected, desired,
-                                             std::memory_order_release,
-                                             std::memory_order_acquire);
-  }
-
-  SLICK_REALTIME bool PublishSlot(uint64_t pos) {
-    return SequenceSlot(pos, pos + 1);
+    this->Bind(&shm_->ring,
+               reinterpret_cast<std::atomic<uint64_t>*>(base + l.seq_off),
+               reinterpret_cast<T*>(base + l.slot_off), cap);
   }
 
   SLICK_REALTIME bool TombstoneSlot(uint64_t pos) {
-    return SequenceSlot(pos, (pos + 1) | kSeqDead);
+    return this->SequenceSlot(pos, (pos + 1) | kSeqDead);
   }
-
-  SLICK_REALTIME void UpdateHighwater(uint64_t occupancy) {
-    // relaxed CAS-max: monotonic gauge, reporting only.
-    uint64_t hw = ctl_->highwater.load(std::memory_order_relaxed);
-    while (occupancy > hw &&
-           !ctl_->highwater.compare_exchange_weak(hw, occupancy,
-                                                  std::memory_order_relaxed,
-                                                  std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Claim cursor moved past `skip` tombstoned slots: either advance head
-  /// immediately (nothing live awaits release — the common case when the
-  /// consumer is caught up) or queue the skip behind the unreleased live
-  /// runs so the eventual release folds it in, in claim order.
-  SLICK_REALTIME void AccountTombstones(std::size_t skip) {
-    if (pending_.empty()) {
-      // relaxed/release: same roles as ReleasePop's head advance.
-      const uint64_t head = ctl_->head.load(std::memory_order_relaxed);
-      ctl_->head.store(head + skip, std::memory_order_release);
-      ctl_->head_event.fetch_add(1, std::memory_order_release);
-      shm_futex::WakeAll(&ctl_->head_event, &ctl_->head_waiters);
-    } else if (pending_.back().live == 0) {
-      pending_.back().dead += skip;
-    } else {
-      pending_.push_back(Pending{skip, 0});
-    }
-  }
-
-  /// Consumer wake condition: the next slot is published (live OR
-  /// tombstoned — either way TryClaimPop makes progress), or shutdown has
-  /// settled. Mirrors MpmcRing::PopReadyOrSettled.
-  bool PopReadyOrSettled() const {
-    // relaxed: effectively the consumer's own cursor.
-    const uint64_t claim = ctl_->claim.load(std::memory_order_relaxed);
-    // acquire: pairs with the publish/tombstone seq CAS release. The
-    // dead mark is progress too (TryClaimPop skips it), so mask it.
-    if ((seq_[static_cast<std::size_t>(claim) & mask_].load(
-             std::memory_order_acquire) &
-         ~kSeqDead) == claim + 1) {
-      return true;
-    }
-    if (ctl_->closed.load(std::memory_order_acquire) == 0) return false;
-    return ctl_->tail.load(std::memory_order_acquire) == claim;
-  }
-
-  bool PushSpaceOrClosed() const {
-    // relaxed tail: only gates a retry; the claim CAS re-validates.
-    return static_cast<std::size_t>(
-               ctl_->tail.load(std::memory_order_relaxed) -
-               ctl_->head.load(std::memory_order_acquire)) < capacity() ||
-           ctl_->closed.load(std::memory_order_acquire) != 0;
-  }
-
-  SLICK_REALTIME_ALLOW(
-      "idle-only parking: spin-then-bounded-futex wait, entered only when "
-      "the ring has nothing claimable — never on the per-tuple path")
-  void WaitForData() {
-    for (int i = 0; i < kSpinYields; ++i) {
-      if (PopReadyOrSettled()) return;
-      std::this_thread::yield();
-    }
-    const uint32_t e = ctl_->tail_event.load(std::memory_order_acquire);
-    if (PopReadyOrSettled()) return;
-    shm_futex::WaitBounded(&ctl_->tail_event, e, &ctl_->tail_waiters);
-  }
-
-  SLICK_REALTIME_ALLOW(
-      "idle-only parking: spin-then-bounded-futex wait, entered only when "
-      "the ring is full — backpressure by design, never on the per-tuple "
-      "path")
-  void WaitForSpace() {
-    for (int i = 0; i < kSpinYields; ++i) {
-      if (PushSpaceOrClosed()) return;
-      std::this_thread::yield();
-    }
-    const uint32_t e = ctl_->head_event.load(std::memory_order_acquire);
-    if (PushSpaceOrClosed()) return;
-    shm_futex::WaitBounded(&ctl_->head_event, e, &ctl_->head_waiters);
-  }
-
-  static constexpr int kSpinYields = 4;
 
   util::ShmMapping map_;
-  std::size_t mask_ = 0;
   ShmHeader* hdr_ = nullptr;
-  ShmControl* ctl_ = nullptr;
+  ShmControl* shm_ = nullptr;
   ShmLease* leases_ = nullptr;
-  // Shared-segment atomics are placement-constructed at their layout
-  // offsets; these are plain pointers into the mapping, not owners.
-  std::atomic<uint64_t>* seq_ = nullptr;  // slick-lint: allow(atomic-alignas)
-  T* slots_ = nullptr;
-  // Fault-injection lane id (shard index); written once before threads
-  // start, read only inside fault::Fire hooks.
-  std::size_t fault_lane_ = 0;
-  // Consumer-thread-private skip accounting (see Pending). Lives in THIS
-  // process, not the segment: only the consumer process pops.
-  std::deque<Pending> pending_;
 };
 
 /// One lease row as read by the inspector.
@@ -1501,35 +877,38 @@ inline ShmSegmentInfo InspectShmSegment(const std::string& name) {
     info.error = "header CRC mismatch: segment corrupt";
     return info;
   }
-  const std::size_t control_off = ShmAlignUp(sizeof(ShmHeader), 64);
-  const std::size_t lease_off =
-      ShmAlignUp(control_off + sizeof(ShmControl), 64);
+  const ShmLayout l = ComputeShmLayout(
+      static_cast<std::size_t>(hdr->capacity),
+      static_cast<std::size_t>(hdr->max_producers),
+      static_cast<std::size_t>(hdr->slot_size),
+      static_cast<std::size_t>(hdr->slot_align));
   const std::size_t lease_end =
-      lease_off + static_cast<std::size_t>(hdr->max_producers) *
-                      sizeof(ShmLease);
+      l.lease_off +
+      static_cast<std::size_t>(hdr->max_producers) * sizeof(ShmLease);
   if (lease_end > map.size()) {
     info.error = "segment truncated: lease table out of bounds";
     return info;
   }
-  const auto* ctl = reinterpret_cast<const ShmControl*>(base + control_off);
-  const auto* leases = reinterpret_cast<const ShmLease*>(base + lease_off);
+  const auto* shm = reinterpret_cast<const ShmControl*>(base + l.control_off);
+  const RingControl& ctl = shm->ring;
+  const auto* leases = reinterpret_cast<const ShmLease*>(base + l.lease_off);
   info.capacity = hdr->capacity;
   info.max_producers = hdr->max_producers;
   info.slot_size = hdr->slot_size;
   // acquire on the cursors so the point-in-time view is internally
   // consistent enough for triage (it is still a racing sample).
-  info.head = ctl->head.load(std::memory_order_acquire);
-  info.tail = ctl->tail.load(std::memory_order_acquire);
-  info.claim = ctl->claim.load(std::memory_order_acquire);
-  info.closed = ctl->closed.load(std::memory_order_acquire) != 0;
+  info.head = ctl.head.load(std::memory_order_acquire);
+  info.tail = ctl.tail.load(std::memory_order_acquire);
+  info.claim = ctl.claim.load(std::memory_order_acquire);
+  info.closed = ctl.closed.load(std::memory_order_acquire) != 0;
   // relaxed: read-only diagnostic snapshot of live counters — every value
   // is a racing sample by design, staleness is expected and harmless.
-  info.highwater = ctl->highwater.load(std::memory_order_relaxed);
+  info.highwater = ctl.highwater.load(std::memory_order_relaxed);
   info.leases_reclaimed =
-      ctl->leases_reclaimed.load(std::memory_order_relaxed);
+      shm->leases_reclaimed.load(std::memory_order_relaxed);
   info.slots_tombstoned =
-      ctl->slots_tombstoned.load(std::memory_order_relaxed);
-  info.zombie_fences = ctl->zombie_fences.load(std::memory_order_relaxed);
+      shm->slots_tombstoned.load(std::memory_order_relaxed);
+  info.zombie_fences = shm->zombie_fences.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < hdr->max_producers; ++i) {
     const ShmLease& lease = leases[i];
     ShmLeaseInfo li;

@@ -1,478 +1,16 @@
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <thread>
-#include <utility>
-
-#include "runtime/fault.h"
-#include "util/annotations.h"
-#include "util/check.h"
-#include "util/math.h"
+#include "runtime/ring.h"
 
 namespace slick::runtime {
 
 /// Bounded lock-free single-producer/single-consumer ring — the inter-thread
-/// channel of the parallel sharded runtime (modeled on SlickQuant's
-/// slick_queue: power-of-two slot array indexed by free-running 64-bit
-/// counters, acquire/release publication).
-///
-/// Layout: `head_` (consumer cursor) and `tail_` (producer cursor) live on
-/// separate cache lines so the two threads never false-share; each side also
-/// keeps a cached copy of the *other* side's cursor so the hot path
-/// (TryClaimPush / TryClaimPop, which the copying try_push_n / try_pop_n
-/// wrap) usually runs on thread-local state and touches the shared counter
-/// only when the cached view says the ring looks full (producer) or empty
-/// (consumer). The claim primitives hand out contiguous in-place spans —
-/// one acquire/release pair per batch, zero per element — which is what
-/// lets the shard workers bulk-slide straight out of the ring.
-///
-/// Claims vs releases: the consumer side keeps a third cursor, `claim_`,
-/// with head_ <= claim_ <= tail_. TryClaimPop hands out [claim_, claim_+n)
-/// and advances claim_ immediately, so sequential claims return *disjoint*
-/// spans even when nothing has been released yet — a consumer holding an
-/// unreleased span when the producer closes still drains the remainder
-/// exactly once. ReleasePop advances head_, returning slots to the
-/// producer; releases may be deferred and batched across several claims,
-/// which turns the span [head_, claim_) into a replay log: the supervised
-/// runtime releases only up to its last durable checkpoint, and recovery
-/// rewinds claim_ to head_ (ResetClaims) to replay the unreleased suffix.
-///
-/// Blocking: both sides batch their work, so parking is rare. Waits go
-/// through a per-direction eventcount (`tail_event_` for "data arrived",
-/// `head_event_` for "space freed"): the waiter snapshots the event word,
-/// re-checks the cursors, and `std::atomic::wait`s on the snapshot; the
-/// other side bumps + notifies once per *batch*, not per element.
-/// libstdc++'s waiter pool makes the notify a no-op syscall-wise when
-/// nobody is parked. `close()` bumps both events, so a parked peer always
-/// observes shutdown (waiting on the cursors themselves could miss it).
+/// channel of the parallel sharded runtime (router thread → shard worker).
+/// The ring core (runtime/ring.h) over the Cursor publish protocol: one
+/// release store of the tail cursor publishes a whole batch, and each side
+/// keeps a cached copy of the other side's cursor, so the hot path usually
+/// runs on thread-local state. Exactly one producer thread at a time.
 template <typename T>
-class SpscRing {
- public:
-  /// Trait the engine keys producer-handle support on (MpmcRing is true):
-  /// this ring admits exactly one producer thread at a time.
-  static constexpr bool kMultiProducer = false;
-
-  /// Capacity is rounded up to a power of two (shift/mask addressing).
-  explicit SpscRing(std::size_t min_capacity)
-      : mask_((std::size_t{1} << util::CeilLog2(
-                   min_capacity < 2 ? 2 : min_capacity)) -
-              1),
-        slots_(std::make_unique<T[]>(mask_ + 1)) {}
-
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  std::size_t capacity() const { return mask_ + 1; }
-
-  /// Approximate element count (exact when called by either endpoint while
-  /// the other is idle).
-  std::size_t size() const {
-    const uint64_t t = tail_.load(std::memory_order_acquire);
-    const uint64_t h = head_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(t - h);
-  }
-  bool empty() const { return size() == 0; }
-
-  /// Highest occupancy ever observed by the producer at a publish point
-  /// (an upper bound — see the comment in try_push_n). Readable from any
-  /// thread; feeds the runtime's ring_highwater telemetry gauge.
-  std::size_t occupancy_highwater() const {
-    // relaxed: monotonic telemetry gauge, no data published through it.
-    return highwater_.load(std::memory_order_relaxed);
-  }
-
-  // ------------------------------------------------------------------
-  // Producer side.
-  // ------------------------------------------------------------------
-
-  /// Claims a contiguous span of up to `max` free slots for in-place
-  /// writing, without blocking: returns the span start and sets *count to
-  /// its length (capped at the array wrap, so a full claim may take two
-  /// calls). Returns nullptr with *count == 0 when the ring is full or
-  /// closed. Nothing is visible to the consumer until PublishPush(count) —
-  /// one acquire refresh at most per claim, zero per element.
-  SLICK_NODISCARD SLICK_REALTIME T* TryClaimPush(std::size_t max,
-                                                 std::size_t* count) {
-    *count = 0;
-    // relaxed: closed_ is a monotonic go/no-go flag here — no data is read
-    // on the strength of this load, and a stale `false` only means one more
-    // successful push into a ring the consumer still drains after close()
-    // (pop_n re-polls after observing closed). Promptness, not correctness.
-    if (closed_.load(std::memory_order_relaxed)) return nullptr;
-    // Chaos hook (no-op unless SLICK_FAULT_INJECTION): a spurious "full"
-    // exercises every caller's full-ring handling on an arbitrary claim.
-    if (fault::Fire(fault::Point::kRingSpuriousFull, fault_lane_)) {
-      return nullptr;
-    }
-    // relaxed: tail_ is this thread's own cursor (single producer).
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t free = capacity() - static_cast<std::size_t>(tail - head_cache_);
-    if (free < max) {
-      // acquire: pairs with ReleasePop's head_ release store, so slots the
-      // consumer has drained are safe to overwrite.
-      head_cache_ = head_.load(std::memory_order_acquire);
-      free = capacity() - static_cast<std::size_t>(tail - head_cache_);
-      if (free == 0) return nullptr;
-    }
-    const std::size_t idx = static_cast<std::size_t>(tail) & mask_;
-    std::size_t n = max < free ? max : free;
-    const std::size_t to_wrap = capacity() - idx;
-    if (n > to_wrap) n = to_wrap;
-    *count = n;
-    return slots_.get() + idx;
-  }
-
-  /// Publishes `count` slots previously claimed with TryClaimPush (count
-  /// may be less than the claim; unpublished slots are simply re-claimed
-  /// next time). One cursor store and one event bump per batch.
-  SLICK_REALTIME void PublishPush(std::size_t count) {
-    // Chaos hook (no-op unless SLICK_FAULT_INJECTION): stall the publish to
-    // widen the window where the consumer sees a stale tail.
-    if (fault::Fire(fault::Point::kPublishDelay, fault_lane_)) {
-      fault::InjectDelay();
-    }
-    // relaxed: tail_ is this thread's own cursor (single producer).
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    // Telemetry: occupancy right after this publish, measured against the
-    // producer's (possibly stale) view of head_ — an upper bound, so the
-    // high-water mark never under-reports. relaxed: single-writer — only
-    // the producer touches highwater_, so the plain (non-CAS)
-    // load-compare-store is race-free, and readers only ever consume the
-    // value itself.
-    const auto occupancy =
-        static_cast<std::size_t>(tail + count - head_cache_);
-    if (occupancy > highwater_.load(std::memory_order_relaxed)) {
-      highwater_.store(occupancy, std::memory_order_relaxed);
-    }
-    // release: publishes the claimed slots' contents; pairs with the
-    // consumer's acquire refresh of tail_ in TryClaimPop.
-    tail_.store(tail + count, std::memory_order_release);
-    // One event bump per publish batch; wakes a parked consumer. release:
-    // orders the cursor store before the bump the waiter snapshots.
-    tail_event_.fetch_add(1, std::memory_order_release);
-    tail_event_.notify_one();
-  }
-
-  /// Span-addressed publish — the shared producer API with MpmcRing (where
-  /// concurrent claims make the span pointer the claim's only name). For
-  /// the SPSC ring the count alone suffices; the span is only sanity-checked.
-  SLICK_REALTIME void PublishPush([[maybe_unused]] T* span,
-                                  std::size_t count) {
-    // relaxed: tail_ is this thread's own cursor (single producer).
-    SLICK_DCHECK(
-        span == slots_.get() +
-                    (static_cast<std::size_t>(
-                         tail_.load(std::memory_order_relaxed)) &
-                     mask_),
-        "span-addressed publish must start at the claim cursor");
-    PublishPush(count);
-  }
-
-  /// Copies up to `n` elements from `src` into the ring without blocking.
-  /// Returns the number accepted (0 when full or closed). Built on the
-  /// claim/publish primitives — at most two segments when the span wraps.
-  SLICK_NODISCARD SLICK_REALTIME std::size_t try_push_n(const T* src,
-                                                        std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      std::size_t k = 0;
-      T* span = TryClaimPush(n - done, &k);
-      if (span == nullptr) break;
-      for (std::size_t i = 0; i < k; ++i) span[i] = src[done + i];
-      PublishPush(k);
-      done += k;
-      // A claim is capped at the array wrap; continue only when this one
-      // ended exactly there (a second segment may be free at the front).
-      if (span + k != slots_.get() + capacity()) break;
-    }
-    return done;
-  }
-
-  SLICK_NODISCARD SLICK_REALTIME bool try_push(const T& v) {
-    return try_push_n(&v, 1) == 1;
-  }
-
-  /// Blocking push: copies all `n` elements, parking when the ring is full
-  /// (the runtime's backpressure). Returns the number accepted, which is
-  /// `n` unless the ring is closed mid-wait.
-  std::size_t push_n(const T* src, std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      const std::size_t k = try_push_n(src + done, n - done);
-      done += k;
-      if (done == n) break;
-      if (k == 0) {
-        // relaxed: only decides when to give up; WaitForSpace() re-checks
-        // closed_ with acquire before parking, and close() bumps
-        // head_event_, so a stale `false` here can cost one extra loop
-        // iteration but never a lost wakeup or a missed shutdown.
-        if (closed_.load(std::memory_order_relaxed)) break;
-        WaitForSpace();
-      }
-    }
-    return done;
-  }
-
-  /// Producer is done: wakes the consumer, which drains the remaining
-  /// elements and then sees pop_n() return 0. Idempotent; callable from
-  /// either side during shutdown.
-  void close() {
-    closed_.store(true, std::memory_order_release);
-    tail_event_.fetch_add(1, std::memory_order_release);
-    head_event_.fetch_add(1, std::memory_order_release);
-    tail_event_.notify_all();
-    head_event_.notify_all();
-  }
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
-  /// Names this ring's lane for the fault-injection schedule (the owning
-  /// shard index). Set before threads start; unused unless the build
-  /// defines SLICK_FAULT_INJECTION.
-  void set_fault_lane(std::size_t lane) { fault_lane_ = lane; }
-
-  /// Read-only views of the eventcount words the wait paths snapshot —
-  /// introspection for the deterministic model checker (tests/model/),
-  /// which replays WaitForData/WaitForSpace step-by-step against these.
-  uint32_t tail_event_word() const {
-    return tail_event_.load(std::memory_order_acquire);
-  }
-  uint32_t head_event_word() const {
-    return head_event_.load(std::memory_order_acquire);
-  }
-
-  // ------------------------------------------------------------------
-  // Consumer side.
-  // ------------------------------------------------------------------
-
-  /// Claims a contiguous span of up to `max` ready elements for in-place
-  /// reading, without blocking: returns the span start and sets *count to
-  /// its length (capped at the array wrap). Returns nullptr with *count ==
-  /// 0 when no *unclaimed* element is ready. Sequential claims return
-  /// disjoint spans (the claim cursor advances immediately); the producer
-  /// cannot overwrite a span until ReleasePop hands its slots back — one
-  /// acquire refresh at most per claim, zero per element.
-  SLICK_NODISCARD SLICK_REALTIME T* TryClaimPop(std::size_t max,
-                                                std::size_t* count) {
-    *count = 0;
-    // relaxed: claim_ is this thread's own cursor (single consumer); other
-    // threads only read it for telemetry/recovery at quiescent points.
-    const uint64_t claim = claim_.load(std::memory_order_relaxed);
-    std::size_t avail = static_cast<std::size_t>(tail_cache_ - claim);
-    if (avail == 0) {
-      // acquire: pairs with PublishPush's tail_ release store, so the
-      // published slots' contents are visible before we read them.
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      avail = static_cast<std::size_t>(tail_cache_ - claim);
-      if (avail == 0) return nullptr;
-    }
-    const std::size_t idx = static_cast<std::size_t>(claim) & mask_;
-    std::size_t n = max < avail ? max : avail;
-    const std::size_t to_wrap = capacity() - idx;
-    if (n > to_wrap) n = to_wrap;
-    *count = n;
-    // relaxed: single-consumer cursor advance; the span's contents were
-    // already acquired through tail_cache_ above.
-    claim_.store(claim + n, std::memory_order_relaxed);
-    return slots_.get() + idx;
-  }
-
-  /// Returns `count` claimed slots to the producer, oldest first. Releases
-  /// may lag claims (head_ <= claim_) and may batch several claimed spans
-  /// into one call. One cursor store and one event bump per batch.
-  SLICK_REALTIME void ReleasePop(std::size_t count) {
-    // relaxed: head_ is this thread's own cursor (single consumer).
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    // relaxed: own cursor, DCHECK only — never release past the claim.
-    SLICK_DCHECK(head + count <= claim_.load(std::memory_order_relaxed),
-                 "ReleasePop past the claim cursor");
-    // release: hands the drained slots back; pairs with TryClaimPush's
-    // acquire refresh of head_ so the producer never overwrites a slot the
-    // consumer is still reading.
-    head_.store(head + count, std::memory_order_release);
-    // release: orders the cursor store before the bump a parked producer
-    // snapshots in WaitForSpace.
-    head_event_.fetch_add(1, std::memory_order_release);
-    head_event_.notify_one();
-  }
-
-  /// Rewinds the claim cursor to the release cursor, so every unreleased
-  /// element is claimable again — the recovery primitive: after a worker
-  /// dies mid-drain, the supervisor restores the aggregator from its last
-  /// checkpoint (which covers exactly [0, head_)) and replays [head_,
-  /// tail_) by rewinding the claims. MUST only be called when no consumer
-  /// thread is live (after join, before respawn): the joins/spawns order
-  /// this store against both the dead consumer's and the successor's
-  /// accesses.
-  void ResetClaims() {
-    // relaxed: see the thread-lifecycle contract above — the caller owns
-    // the consumer role here, and thread join/spawn provide the ordering.
-    claim_.store(head_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  }
-
-  /// Elements published but not yet claimed (exact from the consumer
-  /// thread, approximate elsewhere) — the backlog still to aggregate.
-  std::size_t unconsumed() const {
-    const uint64_t t = tail_.load(std::memory_order_acquire);
-    // relaxed: claim_ carries no payload; pairing with tail_'s acquire
-    // above only ever *under*-counts the backlog by a stale claim.
-    const uint64_t c = claim_.load(std::memory_order_relaxed);
-    return static_cast<std::size_t>(t - c);
-  }
-
-  /// Elements claimed (aggregated or in flight) but not yet released — the
-  /// replay span a recovery would re-drain.
-  std::size_t unreleased() const {
-    // relaxed: telemetry view; both cursors are monotonic and the
-    // difference is only read for reporting, never to index slots.
-    const uint64_t c = claim_.load(std::memory_order_relaxed);
-    const uint64_t h = head_.load(std::memory_order_relaxed);
-    return static_cast<std::size_t>(c - h);
-  }
-
-  /// Blocking claim: returns a non-empty span (and its length in *count)
-  /// unless the ring is closed *and* drained, in which case it returns
-  /// nullptr — the consumer's shutdown signal. Callers process the span in
-  /// place and then ReleasePop(*count).
-  SLICK_NODISCARD T* ClaimPop(std::size_t max, std::size_t* count) {
-    while (true) {
-      T* span = TryClaimPop(max, count);
-      if (span != nullptr) return span;
-      if (closed_.load(std::memory_order_acquire)) {
-        // Re-check: elements published before close() must still drain.
-        return TryClaimPop(max, count);
-      }
-      WaitForData();
-    }
-  }
-
-  /// Moves up to `max` elements into `dst` without blocking. Returns the
-  /// number popped (0 when the ring is currently empty). Built on the
-  /// claim/release primitives — at most two segments when the span wraps.
-  SLICK_NODISCARD SLICK_REALTIME std::size_t try_pop_n(T* dst,
-                                                       std::size_t max) {
-    std::size_t done = 0;
-    while (done < max) {
-      std::size_t k = 0;
-      T* span = TryClaimPop(max - done, &k);
-      if (span == nullptr) break;
-      for (std::size_t i = 0; i < k; ++i) dst[done + i] = std::move(span[i]);
-      ReleasePop(k);
-      done += k;
-      // A claim is capped at the array wrap; continue only when this one
-      // ended exactly there (a second segment may be ready at the front).
-      if (span + k != slots_.get() + capacity()) break;
-    }
-    return done;
-  }
-
-  /// Blocking pop: returns at least one element unless the ring is closed
-  /// *and* drained, in which case it returns 0 — the consumer's shutdown
-  /// signal.
-  std::size_t pop_n(T* dst, std::size_t max) {
-    std::size_t k = 0;
-    T* span = ClaimPop(max, &k);
-    if (span == nullptr) return 0;
-    for (std::size_t i = 0; i < k; ++i) dst[i] = std::move(span[i]);
-    ReleasePop(k);
-    return k;
-  }
-
- private:
-  // Briefly spin/yield, then park on the eventcount. The snapshot/recheck
-  // ordering makes the park race-free: if the producer publishes after our
-  // recheck, its event bump differs from `e` and wait() returns at once.
-  // relaxed loads below are always of the calling thread's OWN cursor
-  // (head_ for the consumer here, tail_ for the producer in WaitForSpace);
-  // the peer's cursor and closed_ are acquire so slot writes are visible.
-  SLICK_REALTIME_ALLOW(
-      "idle-only parking: spin-then-eventcount wait, entered only when the "
-      "ring has nothing claimable — never on the per-tuple path")
-  void WaitForData() {
-    // The wake condition is "unclaimed data exists" (tail_ != claim_), not
-    // tail_ != head_: with releases deferred past a claim, head_ can lag
-    // while everything published is already claimed — waiting on head_
-    // would spin forever without a single claimable element.
-    // relaxed: claim_ is the consumer's own cursor (see note above).
-    for (int i = 0; i < kSpinYields; ++i) {
-      if (tail_.load(std::memory_order_acquire) !=
-              claim_.load(std::memory_order_relaxed) ||
-          closed_.load(std::memory_order_acquire)) {
-        return;
-      }
-      std::this_thread::yield();
-    }
-    const uint32_t e = tail_event_.load(std::memory_order_acquire);
-    // relaxed: claim_ is the consumer's own cursor (see note above).
-    if (tail_.load(std::memory_order_acquire) !=
-            claim_.load(std::memory_order_relaxed) ||
-        closed_.load(std::memory_order_acquire)) {
-      return;
-    }
-    tail_event_.wait(e, std::memory_order_acquire);
-  }
-
-  SLICK_REALTIME_ALLOW(
-      "idle-only parking: spin-then-eventcount wait, entered only when the "
-      "ring is full — backpressure by design, never on the per-tuple path")
-  void WaitForSpace() {
-    for (int i = 0; i < kSpinYields; ++i) {
-      // relaxed: tail_ is the producer's own cursor (see WaitForData note).
-      if (static_cast<std::size_t>(tail_.load(std::memory_order_relaxed) -
-                                   head_.load(std::memory_order_acquire)) <
-              capacity() ||
-          closed_.load(std::memory_order_acquire)) {
-        return;
-      }
-      std::this_thread::yield();
-    }
-    const uint32_t e = head_event_.load(std::memory_order_acquire);
-    // relaxed: tail_ again the producer's own cursor.
-    if (static_cast<std::size_t>(tail_.load(std::memory_order_relaxed) -
-                                 head_.load(std::memory_order_acquire)) <
-            capacity() ||
-        closed_.load(std::memory_order_acquire)) {
-      return;
-    }
-    head_event_.wait(e, std::memory_order_acquire);
-  }
-
-  // On an oversubscribed host a yield hands the core to the peer almost for
-  // free, so only a few attempts before parking (parking costs a futex
-  // round trip but never burns the peer's quantum).
-  static constexpr int kSpinYields = 4;
-  static constexpr std::size_t kCacheLine = 64;
-
-  const std::size_t mask_;
-  const std::unique_ptr<T[]> slots_;
-  // Fault-injection lane id (shard index); written once before threads
-  // start, read only inside fault::Fire hooks.
-  std::size_t fault_lane_ = 0;
-
-  // Consumer cursor + the producer's view of it.
-  alignas(kCacheLine) std::atomic<uint64_t> head_{0};
-  alignas(kCacheLine) std::atomic<uint64_t> tail_{0};
-  // Producer-local cache of head_ (no sharing: only the producer touches it).
-  alignas(kCacheLine) uint64_t head_cache_ = 0;
-  // Consumer-local cache of tail_, and the claim cursor (written only by
-  // the consumer; atomic so telemetry/recovery may read it cross-thread).
-  alignas(kCacheLine) uint64_t tail_cache_ = 0;
-  // Deliberately shares the consumer-owned cache line with tail_cache_:
-  // only the consumer writes either. slick-lint: allow(atomic-alignas)
-  std::atomic<uint64_t> claim_{0};
-  // Eventcounts for parking (bumped per batch, and by close()).
-  alignas(kCacheLine) std::atomic<uint32_t> tail_event_{0};
-  alignas(kCacheLine) std::atomic<uint32_t> head_event_{0};
-  // Written once at shutdown but polled by both sides; its own line keeps
-  // the poll from false-sharing with the head_event_ bump traffic.
-  alignas(kCacheLine) std::atomic<bool> closed_{false};
-  // Producer-written occupancy high-water (telemetry; relaxed, see above).
-  alignas(kCacheLine) std::atomic<std::size_t> highwater_{0};
-};
+using SpscRing = RingCore<T, CursorPublish>;
 
 }  // namespace slick::runtime
-

@@ -42,7 +42,7 @@
 namespace slick::model {
 namespace {
 
-using runtime::ShmReapStats;
+using runtime::ShmLeaseStats;
 using runtime::ShmRing;
 
 /// Value encoding: producer p's i-th element is p * 1000 + i.
@@ -270,7 +270,7 @@ class ReaperThread : public VirtualThread {
   ReaperThread(ShmWorld* w, int passes) : w_(w), passes_(passes) {}
 
   void Step() override {
-    const ShmReapStats st = w_->ring.ReapExpiredLeases(FarFuture(), 1);
+    const ShmLeaseStats st = w_->ring.ReapExpiredLeases(FarFuture(), 1);
     w_->fences += st.zombie_fences;
     ++w_->reap_passes;
   }

@@ -1,12 +1,16 @@
 // Ring conformance suite: the shared contract that lets ShardWorker and
-// the supervised-recovery replay run unchanged over either ring type
-// (DESIGN.md §14.1), pinned as a type-parameterized suite over SpscRing
-// and MpmcRing. Covers the producer/consumer API shape, close semantics
-// (drain-then-signal, wakeups), and the PR 5 claim-cursor regressions
+// the supervised-recovery replay run unchanged over every ring type
+// (DESIGN.md §7.2), pinned as a type-parameterized suite over SpscRing,
+// MpmcRing and ShmRing — the ring core under each of its three publish
+// protocols. Covers the producer/consumer API shape, close semantics
+// (drain-then-signal, wakeups), the claim-cursor regressions
 // (disjoint sequential claims, close with a held unreleased claim,
-// ResetClaims replay) — any future ring must pass this suite verbatim to
-// be selectable in ParallelShardedEngine.
+// ResetClaims replay) and the cross-thread backlog gauges — any future
+// ring must pass this suite verbatim to be selectable in
+// ParallelShardedEngine.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <numeric>
@@ -226,6 +230,49 @@ TYPED_TEST(RingConformanceTest, ConsumerReleasesBlockedProducer) {
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], expected++);
   }
   producer.join();
+}
+
+// The backlog gauges are read cross-thread (ParallelShardedEngine::stats()
+// samples unconsumed()/unreleased() while producer and worker run). Each
+// must read its trailing cursor first: a cursor advancing between the two
+// loads may then over-count (a documented transient overshoot past
+// capacity), but never wrap the unsigned difference to ~2^64.
+TYPED_TEST(RingConformanceTest, BacklogGaugesNeverWrapUnderConcurrentSampling) {
+  TypeParam ring(64);
+  std::atomic<bool> stop{false};
+  std::thread producer([&ring, &stop] {
+    const std::vector<int> src(16, 7);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (ring.push_n(src.data(), src.size()) < src.size()) break;
+    }
+  });
+  std::thread consumer([&ring] {
+    std::size_t n = 0;
+    while (ring.ClaimPop(16, &n) != nullptr) ring.ReleasePop(n);
+  });
+  constexpr std::size_t kWrapped = std::size_t{1} << 62;
+  uint64_t samples = 0;
+  uint64_t wrapped = 0;
+  std::size_t worst = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 1024; ++i) {
+      for (const std::size_t v :
+           {ring.size(), ring.unconsumed(), ring.unreleased()}) {
+        ++samples;
+        if (v >= kWrapped) {
+          ++wrapped;
+          worst = std::max(worst, v);
+        }
+      }
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  ring.close();
+  producer.join();
+  consumer.join();
+  EXPECT_EQ(wrapped, 0u) << "of " << samples << " samples; worst " << worst;
 }
 
 }  // namespace

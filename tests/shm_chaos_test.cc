@@ -157,7 +157,7 @@ TEST(ShmLeaseReclaimTest, DeadProducerIsReclaimedAndConsumerSkipsHole) {
   ::close(fds[1]);
 
   // Effectively-infinite TTL: only the pid probe can justify this reap.
-  const runtime::ShmReapStats reap =
+  const runtime::ShmLeaseStats reap =
       ring.ReapExpiredLeases(util::MonotonicNanos(), uint64_t{1} << 62);
   EXPECT_EQ(reap.leases_reclaimed, 1u);
   EXPECT_EQ(reap.slots_tombstoned, 4u);
@@ -243,7 +243,7 @@ TEST(ShmLeaseReclaimTest, StaleHeartbeatZombiePublishLandsNothing) {
   for (std::size_t i = 0; i < claimed; ++i) zombie.claim_data()[i] = -1;
 
   constexpr uint64_t kLeaseNs = 1'000'000;
-  const runtime::ShmReapStats reap = ring.ReapExpiredLeases(
+  const runtime::ShmLeaseStats reap = ring.ReapExpiredLeases(
       util::MonotonicNanos() + 10 * kLeaseNs, kLeaseNs);
   EXPECT_EQ(reap.zombie_fences, 1u);      // fenced while the pid lives
   EXPECT_EQ(reap.slots_tombstoned, 4u);   // kOwned: repaired immediately
@@ -293,18 +293,18 @@ TEST(ShmLeaseReclaimTest, IntentSpanGetsGraceThenRepair) {
   constexpr uint64_t kLeaseNs = 1'000'000;
   const uint64_t t0 = util::MonotonicNanos() + 10 * kLeaseNs;
   // First pass: fence lands, repair is deferred.
-  const runtime::ShmReapStats first = ring.ReapExpiredLeases(t0, kLeaseNs);
+  const runtime::ShmLeaseStats first = ring.ReapExpiredLeases(t0, kLeaseNs);
   EXPECT_EQ(first.zombie_fences, 1u);
   EXPECT_EQ(first.slots_tombstoned, 0u);
   EXPECT_EQ(first.leases_reclaimed, 0u);
   // Second pass inside the grace window: still deferred, no double fence.
-  const runtime::ShmReapStats second =
+  const runtime::ShmLeaseStats second =
       ring.ReapExpiredLeases(t0 + kLeaseNs / 2, kLeaseNs);
   EXPECT_EQ(second.zombie_fences, 0u);
   EXPECT_EQ(second.slots_tombstoned, 0u);
   EXPECT_EQ(second.leases_reclaimed, 0u);
   // Past the grace: the span is tombstoned and the row freed.
-  const runtime::ShmReapStats third =
+  const runtime::ShmLeaseStats third =
       ring.ReapExpiredLeases(t0 + 2 * kLeaseNs, kLeaseNs);
   EXPECT_EQ(third.slots_tombstoned, 3u);
   EXPECT_EQ(third.leases_reclaimed, 1u);
@@ -334,7 +334,7 @@ TEST(ShmLeaseReclaimTest, IntentSpanBeyondTailTombstonesNothing) {
   constexpr uint64_t kLeaseNs = 1'000'000;
   const uint64_t t0 = util::MonotonicNanos() + 10 * kLeaseNs;
   (void)ring.ReapExpiredLeases(t0, kLeaseNs);  // fence
-  const runtime::ShmReapStats repair =
+  const runtime::ShmLeaseStats repair =
       ring.ReapExpiredLeases(t0 + 2 * kLeaseNs, kLeaseNs);
   EXPECT_EQ(repair.slots_tombstoned, 0u);
   EXPECT_EQ(repair.leases_reclaimed, 1u);
@@ -422,7 +422,7 @@ TEST_F(ShmLeaseFaultInjectionTest, StalledHeartbeatExpiresByTtl) {
   p.RefreshLease();  // latches: refreshes stop from here on
 
   constexpr uint64_t kLeaseNs = 1'000'000;
-  const runtime::ShmReapStats reap = ring.ReapExpiredLeases(
+  const runtime::ShmLeaseStats reap = ring.ReapExpiredLeases(
       util::MonotonicNanos() + 10 * kLeaseNs, kLeaseNs);
   EXPECT_EQ(reap.zombie_fences, 1u);
   EXPECT_EQ(reap.leases_reclaimed, 1u);

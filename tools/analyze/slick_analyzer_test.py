@@ -204,10 +204,10 @@ class RealTree(unittest.TestCase):
                             "--list-realtime", "src/runtime")
         self.assertEqual(proc.returncode, 0, proc.stderr)
         names = set(proc.stdout.split())
-        for expected in ("slick::SpscRing::TryClaimPush",
-                         "slick::SpscRing::PublishPush",
-                         "slick::MpmcRing::TryClaimPush",
-                         "slick::MpmcRing::ReleasePop",
+        for expected in ("slick::RingCore::TryClaimPush",
+                         "slick::RingCore::PublishPush",
+                         "slick::RingCore::TryClaimPop",
+                         "slick::RingCore::ReleasePop",
                          "slick::ShardWorker::Run"):
             self.assertIn(expected, names, proc.stdout)
 
