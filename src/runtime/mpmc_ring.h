@@ -10,7 +10,12 @@ namespace slick::runtime {
 /// Seq publish protocol: producers CAS the shared tail to reserve a span,
 /// write it, then publish each slot with a release store of its sequence
 /// word, so concurrent claims publish independently and in any order.
+/// A named class rather than an alias, so diagnostics and test names
+/// print `MpmcRing<T>` instead of the core's policy spelling.
 template <typename T>
-using MpmcRing = RingCore<T, SeqPublish>;
+class MpmcRing : public RingCore<T, SeqPublish> {
+ public:
+  using RingCore<T, SeqPublish>::RingCore;
+};
 
 }  // namespace slick::runtime
